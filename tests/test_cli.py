@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from sievesim.cli import main
@@ -79,6 +80,12 @@ class TestSlopeCommand:
 
 
 class TestRatesCommand:
+    @pytest.mark.parametrize("stem", ["var_relu_network_d10", "inducing_sqrt_rate_d10"])
+    def test_stdout_matches_snapshot(self, stem, capsys):
+        config = Path(__file__).parent.parent / "configs" / f"{stem}.ini"
+        assert main(["rates", str(config)]) == 0
+        assert capsys.readouterr().out == (DATA / f"rates_{stem}.txt").read_text()
+
     def test_prints_prediction_lines(self, tmp_path, capsys):
         cfg = tmp_path / "r.ini"
         cfg.write_text("""\

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,9 @@ from sievesim.estimators import (
 )
 from sievesim.kernels import KernelSpec, kernel_matrix, random_subsample
 from sievesim.synthetic import make_test_function, simulate_inner, simulate_outer
+
+
+V1_FILES = Path(__file__).parent / "data" / "v1"
 
 
 def make_data(n=50, d=2, m=1, sigma=0.3, seed=0, family="laplace"):
@@ -296,3 +301,11 @@ class TestSerialization:
             back = load_estimator(path)
             assert back.kind == est.kind
             assert_allclose(back.predict(x), est.predict(x), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("kind", ["sample_average", "krr", "inducing_krr", "relu"])
+    def test_committed_v1_file_resaves_byte_identically(self, kind, tmp_path):
+        source = V1_FILES / f"{kind}.txt"
+        est = load_estimator(source)
+        assert est.kind == kind
+        save_estimator(est, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == source.read_bytes()

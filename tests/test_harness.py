@@ -297,3 +297,14 @@ class TestEmission:
         for a, b in zip(refit, result.slopes):
             assert a.estimator == b.estimator
             assert_allclose(a.slope, b.slope, rtol=1e-15)
+
+    def test_estimator_golden_bytes(self, tmp_path):
+        """Every estimator kind, the var functional and fresh evaluation,
+        pinned byte for byte in CSV, slope CSV and JSON."""
+        result = run_experiment(parse_config(DATA / "golden_estimators.ini"))
+        paths = emit_results(result, fmt="csv", path=tmp_path / "golden.csv")
+        assert paths[0].read_bytes() == (DATA / "golden_estimators_results.csv").read_bytes()
+        assert paths[1].read_bytes() == (
+            DATA / "golden_estimators_results_slopes.csv").read_bytes()
+        (json_path,) = emit_results(result, fmt="json", path=tmp_path / "golden.json")
+        assert json_path.read_bytes() == (DATA / "golden_estimators_results.json").read_bytes()

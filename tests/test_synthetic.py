@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from sievesim.synthetic import (
     simulate_outer,
     true_theta,
 )
+
+V1_FILES = Path(__file__).parent / "data" / "v1"
 
 
 class TestMakeTestFunction:
@@ -204,3 +207,12 @@ class TestSerialization:
         assert back.noise_sigma == 0.6
         assert_allclose(back.scenarios, data.scenarios, rtol=0, atol=0)
         assert_allclose(back.ybar, data.ybar, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("name, load, save", [
+        ("test_function_matern", load_test_function, save_test_function),
+        ("dataset", load_dataset, save_dataset),
+    ])
+    def test_committed_v1_file_resaves_byte_identically(self, name, load, save, tmp_path):
+        source = V1_FILES / f"{name}.txt"
+        save(load(source), tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == source.read_bytes()
