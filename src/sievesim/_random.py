@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator | None"
-
 
 def as_generator(seed) -> np.random.Generator:
     """Return a ``numpy.random.Generator`` for any accepted seed form."""

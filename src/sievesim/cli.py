@@ -18,9 +18,12 @@ import dataclasses
 import sys
 from pathlib import Path
 
+from ._textio import csv_text
 from .harness import (
+    ESTIMATOR_KINDS,
     ConfigError,
     ExperimentConfig,
+    SlopeFit,
     config_test_function,
     emit_results,
     parse_config,
@@ -29,13 +32,7 @@ from .harness import (
     simulate_cell,
     slopes_from_cells,
 )
-from .rates import (
-    allocate,
-    predict_gaussian_rkhs_rate,
-    predict_relu_rate,
-    predict_sobolev_rate,
-    predict_var_rate,
-)
+from .rates import allocate, predict_var_rate
 from .synthetic import save_dataset, save_test_function
 
 
@@ -101,15 +98,8 @@ def _cmd_run(args) -> int:
 
 def _predicted_rate(config: ExperimentConfig, kind: str):
     s = config.smoothness if config.smoothness is not None else config.kernel.smoothness
-    d = config.kernel.dim
-    if kind in ("krr", "inducing_krr"):
-        base = (predict_gaussian_rkhs_rate(d) if s is None
-                else predict_sobolev_rate(s, d).plugin_error)
-    elif kind == "relu":
-        if s is None:
-            return None
-        base = predict_relu_rate(s, d)
-    else:
+    base = ESTIMATOR_KINDS[kind].rate(s, config.kernel.dim)
+    if base is None:
         return None
     if config.functional.kind == "var" and config.var_alpha is not None:
         return predict_var_rate(base, config.var_alpha, config.var_beta, config.var_gamma)
@@ -167,9 +157,7 @@ def _cmd_slope(args) -> int:
     if not slopes:
         print("no estimator has enough valid cells for a slope fit", file=sys.stderr)
         return 2
-    print("estimator,slope,intercept,slope_stderr")
-    for s in slopes:
-        print(f"{s.estimator},{s.slope:.17g},{s.intercept:.17g},{s.slope_stderr:.17g}")
+    print(csv_text(SlopeFit, slopes), end="")
     return 0
 
 

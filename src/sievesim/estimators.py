@@ -23,6 +23,7 @@ from .kernels import DEFAULT_JITTER, KernelSpec, PointSet, as_points, gram, kern
 from .network import ReluNetwork
 from .synthetic import NestedDataset
 from ._random import as_generator
+from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 
 
 class FitError(RuntimeError):
@@ -136,7 +137,7 @@ def fit_krr(
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     n = data.n
-    k = gram(spec, data.scenarios, jitter=jitter).entries
+    k = gram(spec, data.scenarios, jitter=jitter)
     system = k.copy()
     system[np.diag_indices_from(system)] += n * lam
     try:
@@ -498,85 +499,46 @@ def fit_relu_sieve(
     )
 
 
-def predict(estimator, x) -> np.ndarray:
-    """Evaluate any fitted estimator at rows of ``x``."""
-    return estimator.predict(x)
-
-
 # ---------------------------------------------------------------------------
-# Columnar text serialization of fitted estimators
+# Columnar text serialization of fitted estimators (format in sievesim._textio)
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _kernel_tokens(spec: KernelSpec) -> str:
-    nu = "-" if spec.nu is None else _fmt(spec.nu)
-    return f"family={spec.family} dim={spec.dim} nu={nu} lengthscale={_fmt(spec.lengthscale)}"
-
-
-def _kernel_from(fields: dict[str, str]) -> KernelSpec:
-    nu = None if fields["nu"] == "-" else float(fields["nu"])
-    return KernelSpec(fields["family"], int(fields["dim"]), nu=nu,
-                      lengthscale=float(fields["lengthscale"]))
-
 
 def save_estimator(est, path) -> None:
     """Write a fitted estimator's kind and parameters as columnar text."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# sievesim estimator v1\n")
-        if est.kind == "sample_average":
-            fh.write(f"# kind=sample_average n={len(est.ybar)} dim={est.scenarios.shape[1]}\n")
-            fh.write("# columns: x_1..x_d ybar\n")
-            for row, y in zip(est.scenarios, est.ybar):
-                fh.write(" ".join(_fmt(v) for v in row) + " " + _fmt(y) + "\n")
-        elif est.kind == "krr":
-            fh.write(f"# kind=krr {_kernel_tokens(est.kernel)} n={len(est.alpha)} "
-                     f"lam={_fmt(est.lam)}\n")
-            fh.write("# columns: x_1..x_d alpha\n")
-            for row, a in zip(est.scenarios, est.alpha):
-                fh.write(" ".join(_fmt(v) for v in row) + " " + _fmt(a) + "\n")
-        elif est.kind == "inducing_krr":
-            fh.write(f"# kind=inducing_krr {_kernel_tokens(est.kernel)} n={len(est.beta)} "
-                     f"ridge={_fmt(est.ridge)}\n")
-            fh.write("# columns: x_1..x_d beta\n")
-            for row, b in zip(est.inducing, est.beta):
-                fh.write(" ".join(_fmt(v) for v in row) + " " + _fmt(b) + "\n")
-        elif est.kind == "relu":
-            arch = est.architecture
-            widths = ",".join(str(w) for w in arch.hidden_widths)
-            sparsity = "-" if arch.sparsity is None else str(arch.sparsity)
-            fh.write(f"# kind=relu dim={est.network.layer_dims[0]} hidden={widths} "
-                     f"sparsity={sparsity} max_param={_fmt(arch.max_param)}\n")
-            fh.write("# columns: parameter (flattened W1,b1,W2,b2,...)\n")
-            for v in est.network.param_vector():
-                fh.write(_fmt(v) + "\n")
-        else:
-            raise ValueError(f"cannot serialize estimator kind {est.kind!r}")
+    if est.kind == "sample_average":
+        fields = {"n": len(est.ybar), "dim": est.scenarios.shape[1]}
+        columns, table = "x_1..x_d ybar", np.column_stack((est.scenarios, est.ybar))
+    elif est.kind == "krr":
+        fields = {**kernel_fields(est.kernel), "n": len(est.alpha), "lam": float(est.lam)}
+        columns, table = "x_1..x_d alpha", np.column_stack((est.scenarios, est.alpha))
+    elif est.kind == "inducing_krr":
+        fields = {**kernel_fields(est.kernel), "n": len(est.beta), "ridge": float(est.ridge)}
+        columns, table = "x_1..x_d beta", np.column_stack((est.inducing, est.beta))
+    elif est.kind == "relu":
+        arch = est.architecture
+        fields = {"dim": est.network.layer_dims[0],
+                  "hidden": ",".join(str(w) for w in arch.hidden_widths),
+                  "sparsity": arch.sparsity, "max_param": float(arch.max_param)}
+        columns = "parameter (flattened W1,b1,W2,b2,...)"
+        table = est.network.param_vector()[:, None]
+    else:
+        raise ValueError(f"cannot serialize estimator kind {est.kind!r}")
+    write_table(path, "estimator", {"kind": est.kind, **fields}, columns, table)
 
 
 def load_estimator(path):
-    with open(path) as fh:
-        first = fh.readline()
-        if "estimator v1" not in first:
-            raise ValueError(f"not a sievesim estimator file: {first.strip()!r}")
-        fields = {}
-        for token in fh.readline().lstrip("#").split():
-            key, _, val = token.partition("=")
-            fields[key] = val
-        fh.readline()
-        data = np.loadtxt(fh, ndmin=2)
+    fields, data = read_table(path, "estimator")
     kind = fields["kind"]
+    points, values = data[:, :-1], data[:, -1]
     meta = TrainingMeta(n=0, m=0, residual_norm=float("nan"), detail={"loaded": True})
     if kind == "sample_average":
-        return SampleAverageEstimator(scenarios=data[:, :-1], ybar=data[:, -1], meta=meta)
+        return SampleAverageEstimator(scenarios=points, ybar=values, meta=meta)
     if kind == "krr":
-        return KRREstimator(kernel=_kernel_from(fields), scenarios=data[:, :-1],
-                            alpha=data[:, -1], lam=float(fields["lam"]), meta=meta)
+        return KRREstimator(kernel=kernel_from_fields(fields), scenarios=points,
+                            alpha=values, lam=float(fields["lam"]), meta=meta)
     if kind == "inducing_krr":
-        return InducingKRREstimator(kernel=_kernel_from(fields), inducing=data[:, :-1],
-                                    beta=data[:, -1], ridge=float(fields["ridge"]), meta=meta)
+        return InducingKRREstimator(kernel=kernel_from_fields(fields), inducing=points,
+                                    beta=values, ridge=float(fields["ridge"]), meta=meta)
     if kind == "relu":
         widths = tuple(int(w) for w in fields["hidden"].split(","))
         sparsity = None if fields["sparsity"] == "-" else int(fields["sparsity"])

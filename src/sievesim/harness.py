@@ -24,6 +24,7 @@ thread pool; output is identical either way.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -31,14 +32,22 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import estimators as est_mod
+from ._textio import csv_text, read_csv
 from .estimators import FitError, ReluArchitecture, TrainConfig
 from .functionals import FunctionalSpec, evaluate_functional
-from .kernels import KernelSpec, farthest_point_sample, random_subsample
-from .rates import allocate, inducing_count_schedule
+from .kernels import DEFAULT_JITTER, KernelSpec, farthest_point_sample, random_subsample
+from .rates import (
+    allocate,
+    inducing_count_schedule,
+    predict_gaussian_rkhs_rate,
+    predict_relu_rate,
+    predict_sobolev_rate,
+)
 from .synthetic import ThetaOracle, make_test_function, simulate_inner, simulate_outer, true_theta
 
 _TESTFN_TAG = 0
@@ -47,11 +56,6 @@ _DATA_TAG = 2
 _FIT_TAG = 3
 _EVAL_TAG = 4
 
-_CSV_HEADER = "estimator,n,m,replications,mean_abs_error,std_abs_error,wall_time_s"
-_SLOPE_HEADER = "estimator,slope,intercept,slope_stderr"
-
-_ESTIMATOR_KINDS = ("sample_average", "krr", "inducing_krr", "relu")
-
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
@@ -59,7 +63,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EstimatorSetting:
-    """One estimator entry from the config: a name, a kind, and its options."""
+    """One estimator entry from the config: a name, a kind, and its options
+    as parsed by the kind's :data:`ESTIMATOR_KINDS` entry."""
 
     name: str
     kind: str
@@ -92,14 +97,28 @@ class ExperimentConfig:
             raise ConfigError("exactly one of sizes/budgets must be set")
         if not self.estimators:
             raise ConfigError("at least one estimator is required")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        for key in ("m", "centers", "replications", "theta_eval_points"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.sigma >= 0:
+            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be nonnegative")
         if self.evaluation not in ("train", "fresh"):
             raise ConfigError(f"evaluation must be 'train' or 'fresh', got {self.evaluation!r}")
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
+        names = [e.name for e in self.estimators]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"duplicate estimator names in {names}")
+        try:
+            cells = self.cells()
+        except ValueError as exc:  # allocate() rejects the budget or the scheme
+            raise ConfigError(f"budgets: {exc}") from None
+        for setting in self.estimators:
+            need = ESTIMATOR_KINDS[setting.kind].min_n
+            if any(n < need for n, _ in cells):
+                raise ConfigError(f"{'sizes' if self.sizes is not None else 'budgets'}: "
+                                  f"estimator {setting.name!r} ({setting.kind}) needs n >= {need} "
+                                  f"at every size, got {[n for n, _ in cells]}")
 
     def cells(self) -> list[tuple[int, int]]:
         """Resolved (n, m) pairs in sweep order."""
@@ -177,6 +196,152 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
+# Estimator kinds.  Each sieve the harness runs is one ESTIMATOR_KINDS entry:
+# its options (default text, accepted values, parser), its fit of one
+# replication, and its predicted rate.  Options are parsed once, when the
+# config is read; bad values are a ConfigError there, not a failed fit.
+# ---------------------------------------------------------------------------
+
+class Option(NamedTuple):
+    default: str
+    accepts: str
+    parse: Callable[[str], object]
+
+
+@dataclass(frozen=True)
+class EstimatorKind:
+    """One estimator kind as the harness runs it.
+
+    ``fit(options, data, kernel, seed)`` fits one replication from the parsed
+    options.  ``rate(s, d)`` is the predicted plug-in error rate for
+    smoothness ``s`` (None for the Gaussian kernel) in dimension ``d``, or
+    None when there is no prediction.  Every n of a sweep must be at least
+    ``min_n``.
+    """
+
+    fit: Callable
+    rate: Callable
+    options: dict[str, Option] = field(default_factory=dict)
+    min_n: int = 1
+
+    def parse_options(self, section: str, body) -> dict:
+        """Parse an ``[estimator ...]`` section's options, defaults filled in."""
+        unknown = set(body) - set(self.options) - {"kind"}
+        if unknown:
+            raise ConfigError(f"section [{section}]: unknown keys {sorted(unknown)}")
+        return {key: _parse(section, key, body.get(key, option.default), option.parse,
+                            option.accepts)
+                for key, option in self.options.items()}
+
+
+def _parse(section: str, key: str, raw: str, parse, accepts: str = ""):
+    try:
+        return parse(raw)
+    except ValueError:
+        expected = f"; expected {accepts}" if accepts else ""
+        raise ConfigError(f"section [{section}]: bad value {key} = {raw!r}{expected}") from None
+
+
+def _checked(cast, ok):
+    """A parser that reads a value with ``cast`` and rejects it unless ``ok(value)``."""
+    def parse(raw: str):
+        value = cast(raw)
+        if not ok(value):
+            raise ValueError(raw)
+        return value
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1)
+_positive = _checked(float, lambda v: v > 0.0)
+_nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0)
+
+
+def _counts(raw: str) -> tuple[int, ...]:
+    values = tuple(_count(part) for part in raw.replace(",", " ").split())
+    if not values:
+        raise ValueError(raw)
+    return values
+
+
+def _keywords(words: dict, parse=None):
+    """A parser mapping each keyword in ``words`` to its value, else ``parse``."""
+    def parse_option(raw: str):
+        if raw in words:
+            return words[raw]
+        if parse is None:
+            raise ValueError(raw)
+        return parse(raw)
+    return parse_option
+
+
+# The fits call est_mod.fit_* (and the subset samplers) by name at call time,
+# so a function rebound on its module (by a tracer or a test) takes effect.
+def _fit_krr(options, data, kernel, seed):
+    lam = options["lambda"]
+    if lam == "default":
+        lam = est_mod.default_regularization(kernel, data.n)
+    elif lam == "cv":
+        lam = est_mod.cross_validate_regularization(data, kernel)
+    return est_mod.fit_krr(data, kernel, lam, jitter=options["jitter"])
+
+
+def _fit_inducing(options, data, kernel, seed):
+    count = options["schedule"]
+    if isinstance(count, str):
+        count = inducing_count_schedule(kernel.family, kernel.dim, data.n,
+                                        s=kernel.smoothness, mode=count)
+    count = max(1, min(count, data.n))
+    select = random_subsample if options["selection"] == "random" else farthest_point_sample
+    inducing = select(data.scenarios, count, seed=seed)
+    return est_mod.fit_krr_inducing(data, kernel, inducing, ridge=options["ridge"])
+
+
+def _fit_relu(options, data, kernel, seed):
+    arch = ReluArchitecture(options["hidden_widths"], options["sparsity"], options["max_param"])
+    train = TrainConfig(epochs=options["epochs"], batch_size=options["batch_size"],
+                        learning_rate=options["learning_rate"], seed=seed)
+    return est_mod.fit_relu_sieve(data, arch, train)
+
+
+def _kernel_rate(s, d):
+    return predict_gaussian_rkhs_rate(d) if s is None else predict_sobolev_rate(s, d).plugin_error
+
+
+def _relu_rate(s, d):
+    return None if s is None else predict_relu_rate(s, d)
+
+
+ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
+    "sample_average": EstimatorKind(
+        fit=lambda options, data, kernel, seed: est_mod.fit_sample_average(data),
+        rate=lambda s, d: None),
+    "krr": EstimatorKind(fit=_fit_krr, rate=_kernel_rate, options={
+        "lambda": Option("default", "default, cv or a number >= 0",
+                         _keywords({"default": "default", "cv": "cv"}, _nonnegative)),
+        "jitter": Option(repr(DEFAULT_JITTER), "a number >= 0", _nonnegative),
+    }),
+    "inducing_krr": EstimatorKind(fit=_fit_inducing, rate=_kernel_rate, min_n=2, options={
+        "schedule": Option("experiment", "experiment, theory or an integer >= 1",
+                           _keywords({"experiment": "experiment", "theory": "theory"}, _count)),
+        "selection": Option("random", "random or farthest",
+                            _keywords({"random": "random", "farthest": "farthest"})),
+        "ridge": Option("default", "default or a number >= 0",
+                        _keywords({"default": None}, _nonnegative)),
+    }),
+    "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, options={
+        "hidden_widths": Option("256 128", "integers >= 1, separated by spaces or commas",
+                                _counts),
+        "epochs": Option("2000", "an integer >= 1", _count),
+        "batch_size": Option("auto", "auto or an integer >= 1", _keywords({"auto": None}, _count)),
+        "learning_rate": Option("1e-3", "a number > 0", _positive),
+        "sparsity": Option("auto", "auto or an integer >= 1", _keywords({"auto": None}, _count)),
+        "max_param": Option("1000", "a number > 0 (inf allowed)", _positive),
+    }),
+}
+
+
+# ---------------------------------------------------------------------------
 # Config file parsing (INI-style: one [experiment] section plus one
 # [estimator NAME] section per estimator; values are flat key = value lines).
 # ---------------------------------------------------------------------------
@@ -187,20 +352,6 @@ _EXPERIMENT_KEYS = {
     "theta_eval_points", "record_timing", "evaluation", "smoothness",
     "alpha", "beta", "gamma",
 }
-_ESTIMATOR_KEYS = {
-    "sample_average": {"kind"},
-    "krr": {"kind", "lambda", "jitter"},
-    "inducing_krr": {"kind", "schedule", "selection", "ridge"},
-    "relu": {"kind", "hidden_widths", "epochs", "batch_size", "learning_rate",
-             "sparsity", "max_param"},
-}
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    parts = raw.replace(",", " ").split()
-    if not parts:
-        raise ConfigError("empty list value")
-    return tuple(int(p) for p in parts)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -225,28 +376,19 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
 
+    def value(key, parse, default=None):
+        return default if key not in exp else _parse("experiment", key, exp[key], parse)
+
     try:
         kind = exp.get("functional", "nested_expectation")
-        if kind == "nested_expectation":
-            functional = FunctionalSpec.expectation(exp.get("eta", "square"))
-        elif kind == "var":
-            if "tau" not in exp:
-                raise ConfigError("var functional requires tau")
-            functional = FunctionalSpec.value_at_risk(exp.getfloat("tau"))
-        else:
-            raise ConfigError(f"unknown functional {kind!r}")
+        functional = FunctionalSpec(kind, eta=exp.get("eta", "square"),
+                                    tau=value("tau", float) if kind == "var" else None)
 
         family = exp.get("kernel", "laplace")
-        d = exp.getint("d")
+        d = value("d", int)
         if d is None:
             raise ConfigError("experiment key 'd' is required")
-        nu = exp.getfloat("nu") if "nu" in exp else None
-        kernel = KernelSpec(family, d, nu=nu) if family == "matern" else KernelSpec(family, d)
-        if family != "matern" and nu is not None:
-            raise ConfigError("nu is only valid for matern kernels")
-
-        sizes = _int_list(exp["sizes"]) if "sizes" in exp else None
-        budgets = _int_list(exp["budgets"]) if "budgets" in exp else None
+        kernel = KernelSpec(family, d, nu=value("nu", float))
 
         settings = []
         for section in parser.sections():
@@ -257,38 +399,33 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             name = section[len("estimator"):].strip() or "estimator"
             body = parser[section]
             est_kind = body.get("kind", name)
-            if est_kind not in _ESTIMATOR_KINDS:
+            if est_kind not in ESTIMATOR_KINDS:
                 raise ConfigError(
                     f"section [{section}]: unknown estimator kind {est_kind!r} "
                     f"(name a kind or set kind=...)"
                 )
-            unknown = set(body) - _ESTIMATOR_KEYS[est_kind]
-            if unknown:
-                raise ConfigError(f"section [{section}]: unknown keys {sorted(unknown)}")
-            settings.append(EstimatorSetting(
-                name=name, kind=est_kind,
-                options={k: body[k] for k in body if k != "kind"},
-            ))
+            options = ESTIMATOR_KINDS[est_kind].parse_options(section, body)
+            settings.append(EstimatorSetting(name=name, kind=est_kind, options=options))
 
         return ExperimentConfig(
             functional=functional,
             kernel=kernel,
             estimators=tuple(settings),
-            sizes=sizes,
-            m=exp.getint("m", 1),
-            budgets=budgets,
+            sizes=value("sizes", _counts),
+            m=value("m", int, 1),
+            budgets=value("budgets", _counts),
             allocation=exp.get("allocation", "standard"),
-            centers=exp.getint("centers", 1000),
-            sigma=exp.getfloat("sigma", 1.0),
-            replications=exp.getint("replications", 50),
-            master_seed=exp.getint("master_seed", 0),
-            theta_eval_points=exp.getint("theta_eval_points", 1_000_000),
+            centers=value("centers", int, 1000),
+            sigma=value("sigma", float, 1.0),
+            replications=value("replications", int, 50),
+            master_seed=value("master_seed", int, 0),
+            theta_eval_points=value("theta_eval_points", int, 1_000_000),
             record_timing=exp.getboolean("record_timing", True),
             evaluation=exp.get("evaluation", "train"),
-            smoothness=exp.getfloat("smoothness") if "smoothness" in exp else None,
-            var_alpha=exp.getfloat("alpha") if "alpha" in exp else None,
-            var_beta=exp.getfloat("beta", 1.0),
-            var_gamma=exp.getfloat("gamma", 1.0),
+            smoothness=value("smoothness", float),
+            var_alpha=value("alpha", float),
+            var_beta=value("beta", float, 1.0),
+            var_gamma=value("gamma", float, 1.0),
         )
     except ConfigError:
         raise
@@ -326,65 +463,12 @@ def simulate_cell(config: ExperimentConfig, surface, size_index: int, replicatio
         seed=_seed(config.master_seed, _DATA_TAG, size_index, replication, 1))
 
 
-def _resolve_krr_lambda(setting: EstimatorSetting, data, kernel) -> float:
-    raw = setting.options.get("lambda", "default")
-    if raw == "default":
-        return est_mod.default_regularization(kernel, data.n)
-    if raw == "cv":
-        return est_mod.cross_validate_regularization(data, kernel)
-    return float(raw)
-
-
-def _resolve_inducing(setting: EstimatorSetting, data, kernel, seed):
-    raw = str(setting.options.get("schedule", "experiment"))
-    if raw in ("experiment", "theory"):
-        count = inducing_count_schedule(kernel.family, kernel.dim, data.n,
-                                        s=kernel.smoothness, mode=raw)
-    else:
-        count = int(raw)
-    count = max(1, min(count, data.n))
-    selection = setting.options.get("selection", "random")
-    if selection == "random":
-        return random_subsample(data.scenarios, count, seed=seed)
-    if selection == "farthest":
-        return farthest_point_sample(data.scenarios, count, seed=seed)
-    raise ConfigError(f"unknown inducing selection {selection!r}")
-
-
-def _relu_setup(setting: EstimatorSetting, seed):
-    opts = setting.options
-    widths = tuple(int(w) for w in str(opts.get("hidden_widths", "256 128")).replace(",", " ").split())
-    sparsity_raw = str(opts.get("sparsity", "auto"))
-    sparsity = None if sparsity_raw == "auto" else int(sparsity_raw)
-    arch = ReluArchitecture(
-        hidden_widths=widths,
-        sparsity=sparsity,
-        max_param=float(opts.get("max_param", 1000.0)),
-    )
-    batch_raw = str(opts.get("batch_size", "auto"))
-    train = TrainConfig(
-        epochs=int(opts.get("epochs", 2000)),
-        batch_size=None if batch_raw == "auto" else int(batch_raw),
-        learning_rate=float(opts.get("learning_rate", 1e-3)),
-        seed=seed,
-    )
-    return arch, train
-
-
-def _fit_one(setting: EstimatorSetting, data, kernel, seed):
-    if setting.kind == "sample_average":
-        return est_mod.fit_sample_average(data)
-    if setting.kind == "krr":
-        lam = _resolve_krr_lambda(setting, data, kernel)
-        jitter = float(setting.options.get("jitter", est_mod.DEFAULT_JITTER))
-        return est_mod.fit_krr(data, kernel, lam, jitter=jitter)
-    if setting.kind == "inducing_krr":
-        inducing = _resolve_inducing(setting, data, kernel, seed)
-        ridge_raw = str(setting.options.get("ridge", "default"))
-        ridge = None if ridge_raw == "default" else float(ridge_raw)
-        return est_mod.fit_krr_inducing(data, kernel, inducing, ridge=ridge)
-    arch, train = _relu_setup(setting, seed)
-    return est_mod.fit_relu_sieve(data, arch, train)
+def _worker_count() -> int:
+    """Worker threads from ``SIEVESIM_THREADS`` (default 1), capped at the CPU count."""
+    raw = os.environ.get("SIEVESIM_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"SIEVESIM_THREADS must be a positive integer, got {raw!r}")
+    return min(int(raw), os.cpu_count() or 1)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -396,6 +480,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``log(mean_abs_error)`` against ``log(n * m)`` when at least three cells
     are valid; otherwise the slope is omitted and a warning recorded.
     """
+    workers = _worker_count()
     cells = config.cells()
     surface = config_test_function(config)
     theta = config_theta(config, surface)
@@ -417,7 +502,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             fit_seed = _seed(config.master_seed, _FIT_TAG, si, r, ei)
             start = time.perf_counter()
             try:
-                fitted = _fit_one(setting, data, config.kernel, fit_seed)
+                fitted = ESTIMATOR_KINDS[setting.kind].fit(
+                    setting.options, data, config.kernel, fit_seed)
                 estimate = evaluate_functional(fitted.predict(eval_points), config.functional)
                 err = abs(estimate - theta.value)
             except FitError as exc:
@@ -432,7 +518,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return out
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
-    workers = int(os.environ.get("SIEVESIM_THREADS", "1"))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cell_outputs = list(pool.map(lambda sr: run_cell(*sr), jobs))
@@ -447,9 +532,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 warnings.append(warning)
 
     stats: list[CellStats] = []
-    slopes: list[SlopeFit] = []
     for ei, setting in enumerate(config.estimators):
-        slope_points = []
+        usable = 0
         for si, (n, m) in enumerate(cells):
             vals = [e for e in errors[(ei, si)] if e is not None]
             if vals:
@@ -464,21 +548,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 wall_time_s=times[(ei, si)] if config.record_timing else 0.0,
             ))
             if math.isfinite(mean) and mean > 0.0:
-                slope_points.append((n * m, mean))
+                usable += 1
             else:
                 warnings.append(
                     f"{setting.name}: cell n={n} excluded from slope fit "
                     f"(mean error {mean})"
                 )
-        if len(slope_points) >= 3:
-            slope, intercept, stderr = fit_loglog_slope(slope_points)
-            slopes.append(SlopeFit(setting.name, slope, intercept, stderr))
-        elif len(cells) >= 3:
+        if usable < 3 and len(cells) >= 3:
             warnings.append(f"{setting.name}: too few valid cells for a slope fit")
 
     return ExperimentResult(
         cells=tuple(stats),
-        slopes=tuple(slopes),
+        slopes=tuple(slopes_from_cells(stats)),
         theta=theta,
         warnings=tuple(warnings),
     )
@@ -487,10 +568,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def slope_sibling_path(path) -> Path:
     path = Path(path)
@@ -506,74 +583,29 @@ def emit_results(result: ExperimentResult, fmt: str = "csv", path="results.csv")
     """
     path = Path(path)
     if fmt == "csv":
-        with open(path, "w", newline="\n") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for c in result.cells:
-                fh.write(f"{c.estimator},{c.n},{c.m},{c.replications},"
-                         f"{_fmt(c.mean_abs_error)},{_fmt(c.std_abs_error)},"
-                         f"{_fmt(c.wall_time_s)}\n")
         slope_path = slope_sibling_path(path)
-        with open(slope_path, "w", newline="\n") as fh:
-            fh.write(_SLOPE_HEADER + "\n")
-            for s in result.slopes:
-                fh.write(f"{s.estimator},{_fmt(s.slope)},{_fmt(s.intercept)},"
-                         f"{_fmt(s.slope_stderr)}\n")
+        path.write_text(csv_text(CellStats, result.cells), newline="\n")
+        slope_path.write_text(csv_text(SlopeFit, result.slopes), newline="\n")
         return [path, slope_path]
     if fmt == "json":
-        doc = {
-            "cells": [
-                {"estimator": c.estimator, "n": c.n, "m": c.m,
-                 "replications": c.replications, "mean_abs_error": c.mean_abs_error,
-                 "std_abs_error": c.std_abs_error, "wall_time_s": c.wall_time_s}
-                for c in result.cells
-            ],
-            "slopes": [
-                {"estimator": s.estimator, "slope": s.slope, "intercept": s.intercept,
-                 "slope_stderr": s.slope_stderr}
-                for s in result.slopes
-            ],
-        }
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        doc = {"cells": [dataclasses.asdict(c) for c in result.cells],
+               "slopes": [dataclasses.asdict(s) for s in result.slopes]}
+        path.write_text(json.dumps(doc, indent=2) + "\n", newline="\n")
         return [path]
     raise ValueError(f"unknown output format {fmt!r}")
 
 
 def parse_results_csv(path) -> list[CellStats]:
     """Read back a cell CSV written by :func:`emit_results`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        out = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, n, m, reps, mean, std, wall = line.split(",")
-            out.append(CellStats(
-                estimator=name, n=int(n), m=int(m), replications=int(reps),
-                mean_abs_error=float(mean), std_abs_error=float(std),
-                wall_time_s=float(wall),
-            ))
-    return out
+    return read_csv(path, CellStats)
 
 
 def slopes_from_cells(cells) -> list[SlopeFit]:
     """Refit per-estimator slopes from cell statistics (e.g. a parsed CSV)."""
-    order: list[str] = []
     grouped: dict[str, list[tuple[float, float]]] = {}
     for c in cells:
-        if c.estimator not in grouped:
-            grouped[c.estimator] = []
-            order.append(c.estimator)
+        points = grouped.setdefault(c.estimator, [])
         if math.isfinite(c.mean_abs_error) and c.mean_abs_error > 0.0:
-            grouped[c.estimator].append((c.n * c.m, c.mean_abs_error))
-    out = []
-    for name in order:
-        pts = grouped[name]
-        if len(pts) >= 3:
-            slope, intercept, stderr = fit_loglog_slope(pts)
-            out.append(SlopeFit(name, slope, intercept, stderr))
-    return out
+            points.append((c.n * c.m, c.mean_abs_error))
+    return [SlopeFit(name, *fit_loglog_slope(points))
+            for name, points in grouped.items() if len(points) >= 3]

@@ -107,14 +107,6 @@ class PointSet:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Self-gram with the jitter that was added to its diagonal."""
-
-    entries: np.ndarray
-    jitter_applied: float
-
-
 def as_points(obj) -> np.ndarray:
     """Coerce a PointSet or array-like into a float (n, d) array."""
     if isinstance(obj, PointSet):
@@ -164,23 +156,19 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     return float(kernel_matrix(spec, xv[None, :], yv[None, :])[0, 0])
 
 
-def gram(spec: KernelSpec, a, b=None, jitter: float = DEFAULT_JITTER):
-    """Gram matrix of one or two point sets.
+def gram(spec: KernelSpec, points, jitter: float = DEFAULT_JITTER) -> np.ndarray:
+    """Self-gram of one point set with ``jitter`` added to its diagonal.
 
-    With a single set, returns a :class:`GramMatrix` whose diagonal carries
-    ``jitter`` (the self-gram is what downstream solvers factor, and exact
-    positive definiteness is not guaranteed in floating point).  With two
-    distinct sets, returns the plain cross matrix as an ndarray.
+    The self-gram is what downstream solvers factor, and exact positive
+    definiteness is not guaranteed in floating point.  For the plain cross
+    matrix of two sets use :func:`kernel_matrix`.
     """
-    if b is None or b is a:
-        pts = as_points(a)
-        entries = kernel_matrix(spec, pts, pts)
-        if jitter < 0:
-            raise ValueError(f"jitter must be nonnegative, got {jitter}")
-        if jitter:
-            entries[np.diag_indices_from(entries)] += jitter
-        return GramMatrix(entries=entries, jitter_applied=jitter)
-    return kernel_matrix(spec, a, b)
+    if jitter < 0:
+        raise ValueError(f"jitter must be nonnegative, got {jitter}")
+    entries = kernel_matrix(spec, points, points)
+    if jitter:
+        entries[np.diag_indices_from(entries)] += jitter
+    return entries
 
 
 def rkhs_norm_sq(spec: KernelSpec, coefficients, centers) -> float:

@@ -15,13 +15,13 @@ retained (raw inner samples are discarded).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ._random import as_generator
+from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 from .functionals import FunctionalSpec, evaluate_functional
 from .kernels import KernelSpec, as_points, kernel_matrix, rkhs_norm_sq
 
@@ -226,110 +226,52 @@ def true_theta(
 
 
 # ---------------------------------------------------------------------------
-# Columnar text serialization.
-#
-# Files are plain text: '#'-prefixed header lines with key=value tokens,
-# then one whitespace-separated row per record, floats at 17 significant
-# digits so round-trips are exact.
+# Columnar text serialization (format in :mod:`sievesim._textio`)
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _header_fields(line: str) -> dict[str, str]:
-    fields = {}
-    for token in line.lstrip("#").split():
-        if "=" in token:
-            key, _, val = token.partition("=")
-            fields[key] = val
-    return fields
-
-
-def _kernel_header(spec: KernelSpec) -> str:
-    nu = "-" if spec.nu is None else _fmt(spec.nu)
-    return f"family={spec.family} dim={spec.dim} nu={nu} lengthscale={_fmt(spec.lengthscale)}"
-
-
-def _kernel_from_fields(fields: dict[str, str]) -> KernelSpec:
-    nu = None if fields["nu"] == "-" else float(fields["nu"])
-    return KernelSpec(
-        family=fields["family"],
-        dim=int(fields["dim"]),
-        nu=nu,
-        lengthscale=float(fields["lengthscale"]),
-    )
-
 
 def save_test_function(f: TestFunction, path) -> None:
     """Write a kernel-mixture surface as columnar text (centers then coefficient)."""
     if f.override is not None:
         raise ValueError(f"only kernel mixtures serialize; got {f.label!r}")
-    seed = "-" if f.seed is None else str(f.seed)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# sievesim test function v1\n")
-        fh.write(f"# {_kernel_header(f.kernel)} n_centers={f.coefficients.size} "
-                 f"seed={seed} norm_sq={_fmt(f.norm_sq)}\n")
-        fh.write("# columns: center_1..center_d coefficient\n")
-        for row, c in zip(f.centers, f.coefficients):
-            fh.write(" ".join(_fmt(v) for v in row) + " " + _fmt(c) + "\n")
+    fields = {**kernel_fields(f.kernel), "n_centers": f.coefficients.size,
+              "seed": f.seed, "norm_sq": f.norm_sq}
+    write_table(path, "test function", fields, "center_1..center_d coefficient",
+                np.column_stack((f.centers, f.coefficients)))
 
 
 def load_test_function(path) -> TestFunction:
-    with open(path) as fh:
-        return _read_test_function(fh)
-
-
-def _read_test_function(fh: io.TextIOBase) -> TestFunction:
-    first = fh.readline()
-    if "test function v1" not in first:
-        raise ValueError(f"not a sievesim test function file: {first.strip()!r}")
-    fields = _header_fields(fh.readline())
-    fh.readline()  # column comment
-    data = np.loadtxt(fh, ndmin=2)
-    kernel = _kernel_from_fields(fields)
+    fields, data = read_table(path, "test function")
+    kernel = kernel_from_fields(fields)
     n = int(fields["n_centers"])
     if data.shape != (n, kernel.dim + 1):
         raise ValueError(f"expected {n} rows of {kernel.dim + 1} columns, got {data.shape}")
-    seed = None if fields["seed"] == "-" else int(fields["seed"])
     return TestFunction(
         dim=kernel.dim,
         kernel=kernel,
         centers=data[:, :-1],
         coefficients=data[:, -1],
-        seed=seed,
+        seed=None if fields["seed"] == "-" else int(fields["seed"]),
         norm_sq=float(fields["norm_sq"]),
     )
 
 
 def save_dataset(data: NestedDataset, path) -> None:
     """Write scenarios and inner averages as columnar text."""
-    seed = "-" if data.seed is None else str(data.seed)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# sievesim nested dataset v1\n")
-        fh.write(f"# dim={data.dim} n={data.n} m={data.m} "
-                 f"sigma={_fmt(data.noise_sigma)} seed={seed}\n")
-        fh.write("# columns: x_1..x_d ybar\n")
-        for row, y in zip(data.scenarios, data.ybar):
-            fh.write(" ".join(_fmt(v) for v in row) + " " + _fmt(y) + "\n")
+    fields = {"dim": data.dim, "n": data.n, "m": data.m, "sigma": data.noise_sigma,
+              "seed": data.seed}
+    write_table(path, "nested dataset", fields, "x_1..x_d ybar",
+                np.column_stack((data.scenarios, data.ybar)))
 
 
 def load_dataset(path) -> NestedDataset:
-    with open(path) as fh:
-        first = fh.readline()
-        if "nested dataset v1" not in first:
-            raise ValueError(f"not a sievesim dataset file: {first.strip()!r}")
-        fields = _header_fields(fh.readline())
-        fh.readline()
-        data = np.loadtxt(fh, ndmin=2)
+    fields, data = read_table(path, "nested dataset")
     dim, n = int(fields["dim"]), int(fields["n"])
     if data.shape != (n, dim + 1):
         raise ValueError(f"expected {n} rows of {dim + 1} columns, got {data.shape}")
-    seed = None if fields["seed"] == "-" else int(fields["seed"])
     return NestedDataset(
         scenarios=data[:, :-1],
         ybar=data[:, -1],
         m=int(fields["m"]),
         noise_sigma=float(fields["sigma"]),
-        seed=seed,
+        seed=None if fields["seed"] == "-" else int(fields["seed"]),
     )

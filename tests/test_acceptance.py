@@ -225,7 +225,7 @@ def test_criterion_5_numerical_checks():
     # Gram positive semidefiniteness at n <= 50.
     pts = rng.random((50, 3))
     min_eig = min(
-        np.linalg.eigvalsh(gram(spec, pts, jitter=0.0).entries).min()
+        np.linalg.eigvalsh(gram(spec, pts, jitter=0.0)).min()
         for spec in (KernelSpec.laplace(3), KernelSpec.gaussian(3),
                      KernelSpec.matern(3, nu=2.5)))
     psd_ok = min_eig >= -1e-8

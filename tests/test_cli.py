@@ -60,6 +60,42 @@ class TestRunCommand:
         assert all(c.replications == 3 for c in parse_results_csv(out))
 
 
+BASE = """\
+[experiment]
+kernel = laplace
+d = 2
+centers = 10
+sizes = 20 40
+replications = 1
+theta_eval_points = 1000
+record_timing = false
+"""
+
+
+@pytest.mark.parametrize("body, env, key", [
+    (BASE + "[estimator inducing_krr]\nselection = bogus\n", {}, "selection"),
+    (BASE + "[estimator relu]\nepochs = abc\n", {}, "epochs"),
+    (BASE + "[estimator krr]\nlambda = -1\n", {}, "lambda"),
+    (BASE.replace("replications", "sigma = -1\nreplications") + "[estimator krr]\n", {}, "sigma"),
+    (BASE.replace("sizes = 20 40", "budgets = 5") + "[estimator krr]\n", {}, "budgets"),
+    (BASE.replace("sizes = 20 40", "sizes = 1 20") + "[estimator inducing_krr]\n", {}, "sizes"),
+    (BASE + "[estimator sample_average]\n[estimatorsample_average]\n", {}, "sample_average"),
+    (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "abc"}, "SIEVESIM_THREADS"),
+    (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "0"}, "SIEVESIM_THREADS"),
+    (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "-2"}, "SIEVESIM_THREADS"),
+], ids=["selection", "epochs", "lambda", "sigma", "budgets", "inducing_n1", "duplicate_name",
+        "threads_abc", "threads_zero", "threads_negative"])
+def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(body)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 class TestSlopeCommand:
     def test_matches_run_experiment(self, capsys):
         result = run_experiment(parse_config(GOLDEN_CONFIG))

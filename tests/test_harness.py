@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,10 @@ from numpy.testing import assert_allclose
 from sievesim.estimators import fit_krr
 from sievesim.functionals import evaluate_functional
 from sievesim.harness import (
+    ESTIMATOR_KINDS,
     ConfigError,
     ExperimentResult,
+    _worker_count,
     config_test_function,
     config_theta,
     emit_results,
@@ -132,6 +135,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no/such"):
             parse_config("no/such/config.ini")
 
+    def test_duplicate_estimator_names_rejected(self, tmp_path):
+        # "[estimatorsample_average]" names the same estimator as
+        # "[estimator sample_average]"; two sweeps under one name would be
+        # pooled into one slope by slopes_from_cells.
+        body = TINY + "[estimatorsample_average]\n"
+        with pytest.raises(ConfigError, match="duplicate"):
+            parse_config(write_config(tmp_path, body))
+
+    def test_options_parsed_once_with_defaults(self, tmp_path):
+        body = TINY + "[estimator net]\nkind = relu\nhidden_widths = 8, 4\nepochs = 5\n"
+        options = parse_config(write_config(tmp_path, body)).estimators[-1].options
+        assert options == {"hidden_widths": (8, 4), "epochs": 5, "batch_size": None,
+                           "learning_rate": 1e-3, "sparsity": None, "max_param": 1000.0}
+
+    def test_readme_lists_every_option_of_the_kind_table(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        for kind, entry in ESTIMATOR_KINDS.items():
+            for key, option in entry.options.items():
+                row = f"| `{kind}` | `{key}` | `{option.default}` | {option.accepts} |"
+                assert row in readme.splitlines()
+
     def test_named_sections_give_distinct_estimators(self, tmp_path):
         body = TINY + "[estimator wide_net]\nkind = relu\nepochs = 5\n"
         config = parse_config(write_config(tmp_path, body))
@@ -155,6 +179,14 @@ class TestRunExperiment:
         monkeypatch.setenv("SIEVESIM_THREADS", "4")
         par = run_experiment(config)
         assert seq.cells == par.cells
+
+    def test_thread_count_is_capped_without_starting_threads(self, monkeypatch):
+        monkeypatch.setenv("SIEVESIM_THREADS", str(10**6))
+        assert _worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setenv("SIEVESIM_THREADS", "1")
+        assert _worker_count() == 1
+        monkeypatch.delenv("SIEVESIM_THREADS")
+        assert _worker_count() == 1
 
     def test_replication_data_isolated_by_seed(self, tmp_path):
         # The dataset at (size, replication) depends only on the master seed
