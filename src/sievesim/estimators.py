@@ -19,10 +19,9 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
 
-from .kernels import DEFAULT_JITTER, KernelSpec, PointSet, as_points, gram, kernel_matrix
+from .kernels import DEFAULT_JITTER, KernelSpec, as_points, gram, kernel_matrix
 from .network import ReluNetwork
 from .synthetic import NestedDataset
-from ._random import as_generator
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 
 
@@ -181,7 +180,7 @@ def cross_validate_regularization(
     n = data.n
     if folds < 2 or folds > n:
         raise ValueError(f"folds must be in [2, {n}], got {folds}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     fold_ids = np.array_split(order, folds)
     scores = np.zeros(len(grid))
@@ -261,7 +260,7 @@ def fit_krr_inducing(
     fitted = design @ beta
     return InducingKRREstimator(
         kernel=spec,
-        inducing=inducing if isinstance(inducing, PointSet) else ind,
+        inducing=ind,
         beta=beta,
         ridge=ridge,
         meta=TrainingMeta(
@@ -305,10 +304,6 @@ class ReluArchitecture:
     def depth(self) -> int:
         return len(self.hidden_widths) + 1
 
-    @property
-    def width(self) -> int:
-        return max(self.hidden_widths)
-
     def layer_dims(self, input_dim: int) -> list[int]:
         return [input_dim, *self.hidden_widths, 1]
 
@@ -323,6 +318,10 @@ def default_relu_architecture() -> ReluArchitecture:
     return ReluArchitecture(hidden_widths=(256, 128), sparsity=None, max_param=1000.0)
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2015 defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """First-order training schedule for the network sieve.
@@ -335,9 +334,6 @@ class TrainConfig:
     batch_size: int | None = None
     learning_rate: float = 1e-3
     seed: object = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -420,23 +416,18 @@ class ReluSieveEstimator:
         return self.network.forward(pts)
 
 
-def _project(params: list[np.ndarray], bound: float, sparsity: int | None, total: int) -> None:
-    """Clip parameters into [-bound, bound] and prune the smallest-magnitude
-    nonzeros down to the sparsity budget (earliest index wins ties)."""
-    for p in params:
-        np.clip(p, -bound, bound, out=p)
-    if sparsity is None or sparsity >= total:
+def _project(vector: np.ndarray, bound: float, sparsity: int | None) -> None:
+    """Clip the parameter vector into [-bound, bound] in place and prune its
+    smallest-magnitude nonzeros down to the sparsity budget (earliest index
+    wins ties)."""
+    np.clip(vector, -bound, bound, out=vector)
+    if sparsity is None or sparsity >= vector.size:
         return
-    flat = np.concatenate([p.ravel() for p in params])
-    nonzero = np.flatnonzero(flat)
+    nonzero = np.flatnonzero(vector)
     excess = nonzero.size - sparsity
     if excess > 0:
-        order = np.argsort(np.abs(flat[nonzero]), kind="stable")
-        flat[nonzero[order[:excess]]] = 0.0
-        at = 0
-        for p in params:
-            p.flat[:] = flat[at : at + p.size]
-            at += p.size
+        order = np.argsort(np.abs(vector[nonzero]), kind="stable")
+        vector[nonzero[order[:excess]]] = 0.0
 
 
 def fit_relu_sieve(
@@ -454,12 +445,10 @@ def fit_relu_sieve(
     arch = architecture if architecture is not None else default_relu_architecture()
     cfg = train if train is not None else TrainConfig()
     net = ReluNetwork(arch.layer_dims(data.dim), seed=cfg.seed)
-    total = net.num_params
-    params = net.params
-
-    moment = [np.zeros_like(p) for p in params]
-    scale = [np.zeros_like(p) for p in params]
-    rng = as_generator(cfg.seed)
+    params = net.vector
+    moment = np.zeros_like(params)
+    scale = np.zeros_like(params)
+    rng = np.random.default_rng(cfg.seed)
     batch = cfg.resolve_batch(data.n)
     n = data.n
     step = 0
@@ -470,19 +459,17 @@ def fit_relu_sieve(
             order = rng.permutation(n)
             slices = [order[at : at + batch] for at in range(0, n, batch)]
         for sel in slices:
-            loss, grads = net.loss_and_grad(data.scenarios[sel], data.ybar[sel])
+            loss, grad = net.loss_and_grad(data.scenarios[sel], data.ybar[sel])
             if not math.isfinite(loss):
                 raise TrainingDiverged(iteration=step, loss=loss)
             step += 1
-            b1t = 1.0 - cfg.beta1**step
-            b2t = 1.0 - cfg.beta2**step
-            for p, g, mo, sc in zip(params, grads, moment, scale):
-                mo *= cfg.beta1
-                mo += (1.0 - cfg.beta1) * g
-                sc *= cfg.beta2
-                sc += (1.0 - cfg.beta2) * g * g
-                p -= cfg.learning_rate * (mo / b1t) / (np.sqrt(sc / b2t) + cfg.eps)
-            _project(params, arch.max_param, arch.sparsity, total)
+            moment *= ADAM_BETA1
+            moment += (1.0 - ADAM_BETA1) * grad
+            scale *= ADAM_BETA2
+            scale += (1.0 - ADAM_BETA2) * grad * grad
+            params -= (cfg.learning_rate * (moment / (1.0 - ADAM_BETA1**step))
+                       / (np.sqrt(scale / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
+            _project(params, arch.max_param, arch.sparsity)
 
     final_loss = net.loss(data.scenarios, data.ybar)
     if not math.isfinite(final_loss):

@@ -309,7 +309,7 @@ def _kernel_rate(s, d):
 
 
 def _relu_rate(s, d):
-    return None if s is None else predict_relu_rate(s, d)
+    return None if s is None or s < 1 else predict_relu_rate(s, d)
 
 
 ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
@@ -397,6 +397,9 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             if not section.startswith("estimator"):
                 raise ConfigError(f"unexpected section [{section}]")
             name = section[len("estimator"):].strip() or "estimator"
+            if "," in name:
+                raise ConfigError(f"section [{section}]: estimator name {name!r} "
+                                  f"contains ',', which the results CSV cannot hold")
             body = parser[section]
             est_kind = body.get("kind", name)
             if est_kind not in ESTIMATOR_KINDS:
@@ -422,7 +425,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             theta_eval_points=value("theta_eval_points", int, 1_000_000),
             record_timing=exp.getboolean("record_timing", True),
             evaluation=exp.get("evaluation", "train"),
-            smoothness=value("smoothness", float),
+            smoothness=value("smoothness", _checked(float, lambda v: 0.0 < v < math.inf)),
             var_alpha=value("alpha", float),
             var_beta=value("beta", float, 1.0),
             var_gamma=value("gamma", float, 1.0),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._random import as_generator
 
 DEFAULT_JITTER = 1e-10
 
@@ -209,7 +208,7 @@ def farthest_point_sample(candidates, count: int, seed=0) -> PointSet:
     n = cand.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     chosen = np.empty(count, dtype=int)
     chosen[0] = rng.integers(n)
     min_dist = cdist(cand, cand[chosen[0]][None, :]).ravel()
@@ -225,6 +224,6 @@ def random_subsample(candidates, count: int, seed=0) -> PointSet:
     n = cand.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(n, size=count, replace=False)
     return PointSet(points=cand[chosen], parent_indices=chosen)

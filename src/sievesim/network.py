@@ -10,14 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._random import as_generator
+
+def _layer_views(vector: np.ndarray, dims: list[int]):
+    """Per-layer weight and bias views into a flat vector laid out W1, b1, W2, b2, ..."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(vector[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(vector[at : at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 class ReluNetwork:
     """Multilayer perceptron with ReLU hidden activations and scalar output.
 
-    Parameters are initialized uniformly on ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]``
-    per layer (biases included), from the given seed.
+    All parameters live in the one float64 array ``vector``; ``weights`` and
+    ``biases`` are per-layer views into it.  Parameters are initialized
+    uniformly on ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]`` per layer (biases
+    included), from the given seed.
     """
 
     def __init__(self, layer_dims, seed=0):
@@ -28,39 +39,27 @@ class ReluNetwork:
             raise ValueError(f"output dimension must be 1, got {dims[-1]}")
         if any(v < 1 for v in dims):
             raise ValueError(f"layer dimensions must be positive, got {dims}")
-        rng = as_generator(seed)
+        rng = np.random.default_rng(seed)
         self.layer_dims = dims
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, fan_out))
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        """Parameter arrays in a fixed order: W1, b1, W2, b2, ..."""
-        out = []
+        self.vector = np.empty(sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:])))
+        self.weights, self.biases = _layer_views(self.vector, dims)
         for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, w.shape)
+            b[...] = rng.uniform(-bound, bound, b.shape)
 
     @property
     def num_params(self) -> int:
-        return sum(p.size for p in self.params)
+        return self.vector.size
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
+        return self.vector.copy()
 
     def set_param_vector(self, vec) -> None:
         vec = np.asarray(vec, dtype=float).ravel()
         if vec.size != self.num_params:
             raise ValueError(f"expected {self.num_params} parameters, got {vec.size}")
-        at = 0
-        for p in self.params:
-            p.flat[:] = vec[at : at + p.size]
-            at += p.size
+        self.vector[...] = vec
 
     def forward(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=float)
@@ -75,36 +74,23 @@ class ReluNetwork:
         return float(np.mean(resid**2))
 
     def loss_and_grad(self, x, y):
-        """Mean squared loss and its gradient, ordered like ``params``."""
+        """Mean squared loss and its gradient, one new vector ordered like ``vector``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
-        n = x.shape[0]
 
         activations = [x]
-        pre = []
-        a = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w + b
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-            activations.append(a)
-        resid = (a @ self.weights[-1] + self.biases[-1]).ravel() - y
+            activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+        resid = (activations[-1] @ self.weights[-1] + self.biases[-1]).ravel() - y
         loss = float(np.mean(resid**2))
 
-        upstream = (2.0 / n) * resid[:, None]
-        grads_w = [activations[-1].T @ upstream]
-        grads_b = [upstream.sum(axis=0)]
-        back = upstream @ self.weights[-1].T
-        for layer in range(len(self.weights) - 2, -1, -1):
-            back = back * (pre[layer] > 0.0)
-            grads_w.append(activations[layer].T @ back)
-            grads_b.append(back.sum(axis=0))
-            back = back @ self.weights[layer].T
-        grads_w.reverse()
-        grads_b.reverse()
-
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.append(gw)
-            grads.append(gb)
-        return loss, grads
+        grad = np.empty_like(self.vector)
+        grad_w, grad_b = _layer_views(grad, self.layer_dims)
+        back = (2.0 / x.shape[0]) * resid[:, None]
+        for layer in range(len(self.weights) - 1, -1, -1):
+            grad_w[layer][...] = activations[layer].T @ back
+            grad_b[layer][...] = back.sum(axis=0)
+            if layer:
+                # activations[layer] > 0 exactly where its pre-activation is.
+                back = (back @ self.weights[layer].T) * (activations[layer] > 0.0)
+        return loss, grad

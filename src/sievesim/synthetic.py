@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._random import as_generator
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 from .functionals import FunctionalSpec, evaluate_functional
 from .kernels import KernelSpec, as_points, kernel_matrix, rkhs_norm_sq
@@ -112,7 +111,7 @@ def make_test_function(kernel: KernelSpec, n_centers: int = 1000, seed=0) -> Tes
     """
     if n_centers < 1:
         raise ValueError(f"n_centers must be >= 1, got {n_centers}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     centers = rng.random((n_centers, kernel.dim))
     coefficients = rng.standard_normal(n_centers)
     norm = rkhs_norm_sq(kernel, coefficients, centers)
@@ -167,7 +166,7 @@ def simulate_outer(count: int, dim: int, seed=0) -> np.ndarray:
     """Draw ``count`` outer scenarios uniformly from the unit cube."""
     if count < 1 or dim < 1:
         raise ValueError(f"need count >= 1 and dim >= 1, got {count}, {dim}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     return rng.random((count, dim))
 
 
@@ -182,7 +181,7 @@ def simulate_inner(f: TestFunction, scenarios, m: int, sigma: float, seed=0) -> 
         raise ValueError(f"m must be >= 1, got {m}")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     values = eval_f(f, pts)
     n = pts.shape[0]
     if sigma == 0.0:
@@ -212,7 +211,7 @@ def true_theta(
     """Monte Carlo reference value of the functional on the noise-free surface."""
     if eval_points < 1:
         raise ValueError(f"eval_points must be >= 1, got {eval_points}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     values = np.empty(eval_points)
     for start in range(0, eval_points, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, eval_points)

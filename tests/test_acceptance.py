@@ -205,8 +205,7 @@ def test_criterion_5_numerical_checks():
     rng = np.random.default_rng(107)
     x = rng.random((40, 3))
     y = rng.standard_normal(40)
-    _, grads = net.loss_and_grad(x, y)
-    flat = np.concatenate([g.ravel() for g in grads])
+    _, flat = net.loss_and_grad(x, y)
     theta = net.param_vector()
     worst = 0.0
     for index in rng.choice(net.num_params, size=20, replace=False):

@@ -83,8 +83,11 @@ record_timing = false
     (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "abc"}, "SIEVESIM_THREADS"),
     (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "0"}, "SIEVESIM_THREADS"),
     (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "-2"}, "SIEVESIM_THREADS"),
+    (BASE + "smoothness = -1\n[estimator krr]\n", {}, "smoothness"),
+    (BASE + "[estimator a,b]\nkind = sample_average\n", {}, "a,b"),
 ], ids=["selection", "epochs", "lambda", "sigma", "budgets", "inducing_n1", "duplicate_name",
-        "threads_abc", "threads_zero", "threads_negative"])
+        "threads_abc", "threads_zero", "threads_negative", "smoothness_negative",
+        "name_with_comma"])
 def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -139,6 +142,12 @@ replications = 5
         out = capsys.readouterr().out
         assert "budget=1000" in out and "n=100" in out
         assert out.count("exponent") >= 3
+
+    def test_relu_below_smoothness_1_has_no_prediction(self, tmp_path, capsys):
+        cfg = tmp_path / "r.ini"
+        cfg.write_text(BASE.replace("laplace", "gaussian") + "smoothness = 0.5\n[estimator relu]\n")
+        assert main(["rates", str(cfg)]) == 0
+        assert "no rate prediction for kind 'relu'" in capsys.readouterr().out
 
     def test_var_rates_need_alpha_for_transform(self, tmp_path, capsys):
         cfg = tmp_path / "v.ini"

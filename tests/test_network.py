@@ -41,7 +41,7 @@ class TestForward:
         # With all weights forced negative and nonnegative inputs, the single
         # hidden layer outputs only its bias path.
         net = ReluNetwork([1, 4, 1], seed=3)
-        w1, b1, w2, b2 = net.params
+        (w1, w2), (b1, b2) = net.weights, net.biases
         w1[:] = -1.0
         b1[:] = -0.5
         rng = np.random.default_rng(4)
@@ -57,6 +57,26 @@ class TestParamVector:
         other = ReluNetwork([4, 6, 3, 1], seed=99)
         other.set_param_vector(theta)
         assert_allclose(other.param_vector(), theta, rtol=0, atol=0)
+
+    def test_gradient_is_one_vector_and_layers_are_views(self):
+        net = ReluNetwork([3, 5, 4, 1], seed=16)
+        rng = np.random.default_rng(17)
+        x = rng.random((7, 3))
+        y = rng.standard_normal(7)
+        _, grad = net.loss_and_grad(x, y)
+        assert grad.shape == (net.num_params,)
+        # param_vector() order ends with the output bias, whose gradient is
+        # the mean of twice the residual.
+        assert_allclose(grad[-1], 2.0 * np.mean(net.forward(x) - y), rtol=1e-12)
+        assert not np.shares_memory(grad, net.vector)
+        assert not np.shares_memory(net.param_vector(), net.vector)
+        for p in (*net.weights, *net.biases):
+            assert np.shares_memory(p, net.vector)
+        before = net.forward(x)
+        stepped = net.param_vector() - 0.1 * grad
+        net.set_param_vector(stepped)
+        assert net.weights[0][0, 0] == stepped[0] and net.biases[-1][0] == stepped[-1]
+        assert not np.array_equal(net.forward(x), before)
 
     def test_wrong_length_rejected(self):
         net = ReluNetwork([2, 3, 1], seed=6)
@@ -75,8 +95,7 @@ class TestGradient:
         rng = np.random.default_rng(9)
         x = rng.random((40, 3))
         y = rng.standard_normal(40)
-        _, grads = net.loss_and_grad(x, y)
-        flat = np.concatenate([g.ravel() for g in grads])
+        _, flat = net.loss_and_grad(x, y)
         picks = rng.choice(net.num_params, size=20, replace=False)
         for index in picks:
             fd = finite_difference_gradient(net, x, y, int(index))
@@ -104,8 +123,7 @@ class TestGradient:
         rng = np.random.default_rng(15)
         x = rng.random((30, 1))
         y = 2.0 * x[:, 0] - 1.0
-        loss0, grads = net.loss_and_grad(x, y)
+        loss0, flat = net.loss_and_grad(x, y)
         theta = net.param_vector()
-        flat = np.concatenate([g.ravel() for g in grads])
         net.set_param_vector(theta - 1e-3 * flat)
         assert net.loss(x, y) < loss0
