@@ -81,6 +81,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(parse_config(args.config), args)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise ConfigError(f"output directory does not exist: {out_dir}")
     result = run_experiment(config)
     paths = emit_results(result, fmt=args.format, path=args.out)
     for warning in result.warnings:

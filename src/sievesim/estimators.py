@@ -8,6 +8,10 @@ All four estimators consume a :class:`~sievesim.synthetic.NestedDataset`
 * kernel ridge regression on the full scenario set;
 * least squares on the span of kernel sections at a few inducing points;
 * a sparse, bounded ReLU network trained by an adaptive first-order method.
+
+A fit also keeps ``fitted_values``, its predictions at the training
+scenarios, bit-identical to ``predict(data.scenarios)`` and computed as part
+of the fit; an estimator read back by :func:`load_estimator` has ``None``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
 
-from .kernels import DEFAULT_JITTER, KernelSpec, as_points, gram, kernel_matrix
+from .kernels import DEFAULT_JITTER, KernelSpec, as_points, kernel_matrix
 from .network import ReluNetwork
 from .synthetic import NestedDataset
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
@@ -60,10 +64,12 @@ class SampleAverageEstimator:
 
     kind = "sample_average"
 
-    def __init__(self, scenarios: np.ndarray, ybar: np.ndarray, meta: TrainingMeta):
+    def __init__(self, scenarios: np.ndarray, ybar: np.ndarray, meta: TrainingMeta,
+                 fitted_values=None):
         self.scenarios = scenarios
         self.ybar = ybar
         self.meta = meta
+        self.fitted_values = fitted_values
         self._tree = None
 
     def predict(self, x) -> np.ndarray:
@@ -82,6 +88,7 @@ def fit_sample_average(data: NestedDataset) -> SampleAverageEstimator:
         scenarios=data.scenarios,
         ybar=data.ybar,
         meta=TrainingMeta(n=data.n, m=data.m, residual_norm=0.0),
+        fitted_values=data.ybar,
     )
 
 
@@ -94,12 +101,14 @@ class KRREstimator:
 
     kind = "krr"
 
-    def __init__(self, kernel: KernelSpec, scenarios, alpha, lam: float, meta: TrainingMeta):
+    def __init__(self, kernel: KernelSpec, scenarios, alpha, lam: float, meta: TrainingMeta,
+                 fitted_values=None):
         self.kernel = kernel
         self.scenarios = as_points(scenarios)
         self.alpha = np.asarray(alpha, dtype=float).reshape(-1)
         self.lam = lam
         self.meta = meta
+        self.fitted_values = fitted_values
 
     def predict(self, x) -> np.ndarray:
         pts = as_points(x)
@@ -122,6 +131,16 @@ def default_regularization(spec: KernelSpec, n: int) -> float:
     return float(n ** (-2.0 * s / (2.0 * s + spec.dim)))
 
 
+def _krr_system(k: np.ndarray, jitter: float, shift: float) -> np.ndarray:
+    """``K + jitter I + shift I`` as a Fortran-ordered copy, which LAPACK can
+    factor without copying again; the two diagonal adds keep that order."""
+    system = k.copy(order="F")
+    diag = np.diag_indices_from(system)
+    system[diag] += jitter
+    system[diag] += shift
+    return system
+
+
 def fit_krr(
     data: NestedDataset,
     spec: KernelSpec,
@@ -135,20 +154,22 @@ def fit_krr(
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
+    if jitter < 0:
+        raise ValueError(f"jitter must be nonnegative, got {jitter}")
     n = data.n
-    k = gram(spec, data.scenarios, jitter=jitter)
-    system = k.copy()
-    system[np.diag_indices_from(system)] += n * lam
+    k = kernel_matrix(spec, data.scenarios, data.scenarios)
     try:
-        cho = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
+        # Factored in place, so K stays intact for the fitted values.
+        cho = scipy.linalg.cho_factor(_krr_system(k, jitter, n * lam), lower=True,
+                                      overwrite_a=True, check_finite=False)
         alpha = scipy.linalg.cho_solve(cho, data.ybar, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        eigs = scipy.linalg.eigvalsh(system)
+        eigs = scipy.linalg.eigvalsh(_krr_system(k, jitter, n * lam))
         raise FitError(
             f"KRR solve failed at n={n}, lam={lam}: {exc}; "
             f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
         ) from exc
-    fitted = k @ alpha - jitter * alpha  # predictions use the unjittered kernel
+    fitted = k @ alpha
     return KRREstimator(
         kernel=spec,
         scenarios=data.scenarios,
@@ -160,6 +181,7 @@ def fit_krr(
             residual_norm=_residual_norm(fitted, data.ybar),
             detail={"jitter": jitter},
         ),
+        fitted_values=fitted,
     )
 
 
@@ -209,12 +231,14 @@ class InducingKRREstimator:
 
     kind = "inducing_krr"
 
-    def __init__(self, kernel: KernelSpec, inducing, beta, ridge: float, meta: TrainingMeta):
+    def __init__(self, kernel: KernelSpec, inducing, beta, ridge: float, meta: TrainingMeta,
+                 fitted_values=None):
         self.kernel = kernel
         self.inducing = as_points(inducing)
         self.beta = np.asarray(beta, dtype=float).reshape(-1)
         self.ridge = ridge
         self.meta = meta
+        self.fitted_values = fitted_values
 
     def predict(self, x) -> np.ndarray:
         pts = as_points(x)
@@ -269,6 +293,7 @@ def fit_krr_inducing(
             residual_norm=_residual_norm(fitted, data.ybar),
             detail={"inducing_count": s_count, "ridge": ridge},
         ),
+        fitted_values=fitted,
     )
 
 
@@ -404,10 +429,12 @@ class ReluSieveEstimator:
 
     kind = "relu"
 
-    def __init__(self, network: ReluNetwork, architecture: ReluArchitecture, meta: TrainingMeta):
+    def __init__(self, network: ReluNetwork, architecture: ReluArchitecture, meta: TrainingMeta,
+                 fitted_values=None):
         self.network = network
         self.architecture = architecture
         self.meta = meta
+        self.fitted_values = fitted_values
 
     def predict(self, x) -> np.ndarray:
         pts = as_points(x)
@@ -471,7 +498,8 @@ def fit_relu_sieve(
                        / (np.sqrt(scale / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
             _project(params, arch.max_param, arch.sparsity)
 
-    final_loss = net.loss(data.scenarios, data.ybar)
+    fitted = net.forward(data.scenarios)
+    final_loss = float(np.mean((fitted - data.ybar) ** 2))
     if not math.isfinite(final_loss):
         raise TrainingDiverged(iteration=step, loss=final_loss)
     return ReluSieveEstimator(
@@ -483,6 +511,7 @@ def fit_relu_sieve(
             residual_norm=math.sqrt(final_loss),
             detail={"steps": step, "epochs": cfg.epochs, "batch": batch},
         ),
+        fitted_values=fitted,
     )
 
 

@@ -494,12 +494,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     def run_cell(si: int, r: int):
         data = simulate_cell(config, surface, si, r)
+        eval_points = None
         if config.evaluation == "fresh":
             eval_points = simulate_outer(
                 data.n, config.kernel.dim,
                 seed=_seed(config.master_seed, _EVAL_TAG, si, r))
-        else:
-            eval_points = data.scenarios
         out = []
         for ei, setting in enumerate(config.estimators):
             fit_seed = _seed(config.master_seed, _FIT_TAG, si, r, ei)
@@ -507,7 +506,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             try:
                 fitted = ESTIMATOR_KINDS[setting.kind].fit(
                     setting.options, data, config.kernel, fit_seed)
-                estimate = evaluate_functional(fitted.predict(eval_points), config.functional)
+                values = (fitted.fitted_values if eval_points is None
+                          else fitted.predict(eval_points))
+                estimate = evaluate_functional(values, config.functional)
                 err = abs(estimate - theta.value)
             except FitError as exc:
                 out.append((ei, None, time.perf_counter() - start,

@@ -132,10 +132,12 @@ def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
     pa, pb = as_points(a), as_points(b)
     _check_dim(spec, pa, "first point set")
     _check_dim(spec, pb, "second point set")
-    if spec.family == "laplace":
-        return np.exp(-cdist(pa, pb) / spec.dim)
-    if spec.family == "gaussian":
-        return np.exp(-cdist(pa, pb, "sqeuclidean") / spec.dim)
+    if spec.family in ("laplace", "gaussian"):
+        # In cdist's own buffer: x / -d rounds to exactly -(x / d), so the
+        # bits equal exp(-dist / d) while only one matrix is held.
+        out = cdist(pa, pb, "euclidean" if spec.family == "laplace" else "sqeuclidean")
+        np.divide(out, -spec.dim, out=out)
+        return np.exp(out, out=out)
     r = cdist(pa, pb) / spec.lengthscale
     if spec.nu == 0.5:
         return np.exp(-r)

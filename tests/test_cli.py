@@ -41,6 +41,16 @@ class TestRunCommand:
         assert main(["run", str(bad)]) == 1
         assert "warp" in capsys.readouterr().err
 
+    def test_missing_out_directory_exits_1_before_running(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_run(config):
+            raise AssertionError("the sweep ran before the output path was checked")
+        monkeypatch.setattr("sievesim.cli.run_experiment", no_run)
+        missing = tmp_path / "nodir"
+        assert main(["run", GOLDEN_CONFIG, "--out", str(missing / "x.csv")]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["run", GOLDEN_CONFIG, "--bogus"]) == 1
 

@@ -22,7 +22,8 @@ from sievesim.estimators import (
     sparsity_budget,
     unit_count,
 )
-from sievesim.kernels import KernelSpec, kernel_matrix, random_subsample
+from sievesim.kernels import (
+    KernelSpec, farthest_point_sample, kernel_matrix, random_subsample)
 from sievesim.synthetic import make_test_function, simulate_inner, simulate_outer
 
 
@@ -130,6 +131,17 @@ class TestKRR:
         data = NestedDataset(scenarios=x, ybar=np.arange(4.0), m=1,
                              noise_sigma=0.0, seed=None)
         with pytest.raises(FitError):
+            fit_krr(data, spec, 0.0, jitter=0.0)
+
+    def test_failure_diagnostic_reads_the_intact_system(self):
+        # The all-ones 4x4 gram has eigenvalues {0, 0, 0, 4}; the factor that
+        # LAPACK leaves behind after failing in place has others.
+        spec = KernelSpec.gaussian(2)
+        x = np.tile(np.array([[0.3, 0.7]]), (4, 1))
+        from sievesim.synthetic import NestedDataset
+        data = NestedDataset(scenarios=x, ybar=np.arange(4.0), m=1,
+                             noise_sigma=0.0, seed=None)
+        with pytest.raises(FitError, match=r"eigenvalue range \[.*, 4\.000e\+00\]"):
             fit_krr(data, spec, 0.0, jitter=0.0)
 
 
@@ -278,6 +290,31 @@ class TestPredictContract:
         x = simulate_outer(7, 2, seed=38)
         loop = np.array([est.predict(x[i][None, :])[0] for i in range(7)])
         assert_allclose(est.predict(x), loop, rtol=1e-13)
+
+
+class TestFittedValues:
+    FITS = {
+        "sample_average": lambda data, spec: fit_sample_average(data),
+        "krr": lambda data, spec: fit_krr(data, spec, 1e-2),
+        "inducing_random": lambda data, spec: fit_krr_inducing(
+            data, spec, random_subsample(data.scenarios, 6, seed=44)),
+        "inducing_farthest": lambda data, spec: fit_krr_inducing(
+            data, spec, farthest_point_sample(data.scenarios, 6, seed=44)),
+        "relu": lambda data, spec: fit_relu_sieve(
+            data, ReluArchitecture(hidden_widths=(8, 4)), TrainConfig(epochs=3, seed=45)),
+    }
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    @pytest.mark.parametrize("kind", sorted(FITS))
+    def test_bit_identical_to_predict_at_the_scenarios(self, kind, family):
+        spec, _, data = make_data(n=40, seed=43, family=family)
+        est = self.FITS[kind](data, spec)
+        assert np.array_equal(est.fitted_values, est.predict(data.scenarios))
+
+    def test_loaded_estimator_has_none(self, tmp_path):
+        spec, _, data = make_data(n=10, seed=46)
+        save_estimator(fit_krr(data, spec, 1e-2), tmp_path / "krr.txt")
+        assert load_estimator(tmp_path / "krr.txt").fitted_values is None
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 
 from sievesim.kernels import (
     KernelSpec,
@@ -109,6 +110,16 @@ class TestGram:
                 for j in range(2):
                     assert_allclose(k[i, j], eval_kernel(spec, a[i], b[j]),
                                     rtol=1e-13)
+
+    @pytest.mark.parametrize("family,metric", [("laplace", "euclidean"),
+                                               ("gaussian", "sqeuclidean")])
+    def test_in_place_kernels_keep_the_out_of_place_bits(self, family, metric):
+        rng = np.random.default_rng(7)
+        a = rng.random((37, 6))
+        b = rng.random((23, 6))
+        k = kernel_matrix(KernelSpec(family, 6), a, b)
+        assert np.array_equal(k, np.exp(-cdist(a, b, metric) / 6))
+        assert k.flags.c_contiguous and k.flags.owndata
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
