@@ -34,10 +34,11 @@ class FitError(RuntimeError):
 
 
 class TrainingDiverged(FitError):
-    """Network training produced a non-finite loss."""
+    """Network training produced a non-finite loss, or a fit that blew up
+    far outside the range of its data."""
 
-    def __init__(self, iteration: int, loss: float):
-        super().__init__(f"non-finite training loss ({loss}) at iteration {iteration}")
+    def __init__(self, iteration: int, loss: float, message: str | None = None):
+        super().__init__(message or f"non-finite training loss ({loss}) at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -346,6 +347,11 @@ def default_relu_architecture() -> ReluArchitecture:
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2015 defaults).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# A trained network whose fitted values stray further than this many ybar
+# ranges from the ybar mean has blown up (for a constant ybar, the range is
+# taken as |mean|).  Working fits stay within half a range of it.
+BLOWUP_RANGES = 10.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -467,7 +473,9 @@ def fit_relu_sieve(
     Minimizes the empirical squared loss with Adam-style updates (momentum
     plus per-parameter scaling), projecting after every step onto the sieve's
     magnitude and sparsity constraints.  Raises :class:`TrainingDiverged` if
-    the loss turns non-finite.
+    the loss turns non-finite or a fitted value lies more than
+    :data:`BLOWUP_RANGES` times the range of ``ybar`` (``|mean|`` when ``ybar``
+    is constant) from its mean.
     """
     arch = architecture if architecture is not None else default_relu_architecture()
     cfg = train if train is not None else TrainConfig()
@@ -502,6 +510,14 @@ def fit_relu_sieve(
     final_loss = float(np.mean((fitted - data.ybar) ** 2))
     if not math.isfinite(final_loss):
         raise TrainingDiverged(iteration=step, loss=final_loss)
+    center = float(np.mean(data.ybar))
+    spread = float(np.ptp(data.ybar)) or abs(center)
+    worst = float(np.max(np.abs(fitted - center)))
+    if worst > BLOWUP_RANGES * spread:
+        raise TrainingDiverged(
+            iteration=step, loss=final_loss,
+            message=f"fitted values reach {worst:.3g} from the ybar mean after {step} "
+                    f"steps, beyond {BLOWUP_RANGES:g} x the ybar range {spread:.3g}")
     return ReluSieveEstimator(
         network=net,
         architecture=arch,

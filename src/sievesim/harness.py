@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -444,15 +445,28 @@ def _seed(master: int, *tags: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([master, *tags])
 
 
+# Surfaces and references are memoized per process by the config fields that
+# determine them, so configs that share a surface build it, and compute its
+# reference, once.  A TestFunction is immutable, so sharing one is safe.
 def config_test_function(config: ExperimentConfig):
-    return make_test_function(config.kernel, n_centers=config.centers,
-                              seed=_seed(config.master_seed, _TESTFN_TAG))
+    return _test_function(config.kernel, config.centers, config.master_seed)
 
 
-def config_theta(config: ExperimentConfig, surface=None) -> ThetaOracle:
-    f = surface if surface is not None else config_test_function(config)
-    return true_theta(f, config.functional, eval_points=config.theta_eval_points,
-                      seed=_seed(config.master_seed, _THETA_TAG))
+def config_theta(config: ExperimentConfig) -> ThetaOracle:
+    return _theta(config.kernel, config.centers, config.master_seed,
+                  config.theta_eval_points, config.functional)
+
+
+@functools.lru_cache(maxsize=16)
+def _test_function(kernel: KernelSpec, centers: int, master: int):
+    return make_test_function(kernel, n_centers=centers, seed=_seed(master, _TESTFN_TAG))
+
+
+@functools.lru_cache(maxsize=16)
+def _theta(kernel: KernelSpec, centers: int, master: int, eval_points: int,
+           functional: FunctionalSpec) -> ThetaOracle:
+    return true_theta(_test_function(kernel, centers, master), functional,
+                      eval_points=eval_points, seed=_seed(master, _THETA_TAG))
 
 
 def simulate_cell(config: ExperimentConfig, surface, size_index: int, replication: int):
@@ -486,7 +500,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     workers = _worker_count()
     cells = config.cells()
     surface = config_test_function(config)
-    theta = config_theta(config, surface)
+    theta = config_theta(config)
 
     errors = {(ei, si): [] for ei in range(len(config.estimators)) for si in range(len(cells))}
     times = {key: 0.0 for key in errors}

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from conftest import record_criterion
 
+from sievesim import harness
 from sievesim.estimators import fit_krr, fit_krr_inducing
 from sievesim.functionals import var_estimate
 from sievesim.harness import emit_results, parse_config, run_experiment
@@ -301,6 +302,9 @@ def test_criterion_6_rate_formula_exactness():
 
 def test_criterion_7_determinism(inducing_rate_run, tmp_path):
     config, first, _ = inducing_rate_run
+    # The rerun builds the surface and computes the reference afresh too.
+    harness._test_function.cache_clear()
+    harness._theta.cache_clear()
     second = run_experiment(config)
     a = emit_results(first, fmt="csv", path=tmp_path / "a.csv")
     b = emit_results(second, fmt="csv", path=tmp_path / "b.csv")

@@ -218,6 +218,25 @@ class TestReluSieve:
                 fit_relu_sieve(data, arch, cfg)
         assert info.value.iteration >= 1
 
+    def test_fit_far_outside_the_data_range_is_divergence(self):
+        # A finite but absurd learning rate keeps the loss finite while the
+        # fitted values land orders of magnitude outside the ybar range.
+        _, _, data = make_data(n=40, seed=26)
+        cfg = TrainConfig(epochs=20, learning_rate=1e6, seed=27)
+        with pytest.raises(TrainingDiverged, match="ybar range"):
+            fit_relu_sieve(data, ReluArchitecture(hidden_widths=(8, 8)), cfg)
+
+    def test_constant_zero_ybar_keeps_an_exact_fit(self):
+        # sparsity 1 prunes the network to one weight, so it predicts
+        # exactly 0: ybar of zeros, whose range and mean are both 0, must
+        # accept that fit.
+        from sievesim.synthetic import NestedDataset
+        flat = NestedDataset(scenarios=simulate_outer(20, 2, seed=40), ybar=np.zeros(20),
+                             m=1, noise_sigma=0.0)
+        arch = ReluArchitecture(hidden_widths=(4,), sparsity=1, max_param=10.0)
+        est = fit_relu_sieve(flat, arch, TrainConfig(epochs=5, seed=1))
+        assert np.array_equal(est.fitted_values, flat.ybar)
+
     def test_parameter_clip_respected(self):
         _, _, data = make_data(n=30, seed=28)
         arch = ReluArchitecture(hidden_widths=(16,), sparsity=None,

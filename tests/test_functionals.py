@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sievesim.estimators import fit_krr
@@ -87,6 +89,18 @@ class TestVarEstimate:
         v = rng.standard_normal(50)
         assert var_estimate(v, 1.0 - 1e-12) == v.max()
         assert var_estimate(v, 1e-9) == v.min()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300),
+           st.integers(1, 99))
+    def test_any_values_match_a_full_sort(self, values, k):
+        v = np.array(values)
+        index = -(-k * v.size // 100) - 1  # ceil(k * n / 100) - 1 in integers
+        assert var_estimate(v, k / 100) == np.sort(v)[index]
+
+    @given(st.integers(1, 200_000), st.integers(1, 99))
+    def test_index_is_the_integer_ceiling_at_any_n(self, n, k):
+        v = np.random.default_rng(n).permutation(n).astype(float)
+        assert var_estimate(v, k / 100) == -(-k * n // 100) - 1
 
     def test_tau_validation(self):
         v = np.ones(3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sievesim import harness
 from sievesim.estimators import fit_krr
-from sievesim.functionals import evaluate_functional
+from sievesim.functionals import FunctionalSpec, evaluate_functional
 from sievesim.harness import (
     ESTIMATOR_KINDS,
     ConfigError,
@@ -23,6 +25,8 @@ from sievesim.harness import (
     simulate_cell,
     slopes_from_cells,
 )
+from sievesim.kernels import KernelSpec
+from sievesim.synthetic import true_theta
 
 DATA = Path(__file__).parent / "data"
 
@@ -192,7 +196,6 @@ class TestRunExperiment:
         # The dataset at (size, replication) depends only on the master seed
         # and those two indices, never on the replication total.
         config = parse_config(write_config(tmp_path, TINY))
-        import dataclasses
         more = dataclasses.replace(config, replications=5)
         surface = config_test_function(config)
         a = simulate_cell(config, surface, 1, 0)
@@ -208,7 +211,7 @@ class TestRunExperiment:
         config = parse_config(write_config(tmp_path, body))
         result = run_experiment(config)
         surface = config_test_function(config)
-        theta = config_theta(config, surface)
+        theta = config_theta(config)
         from sievesim.estimators import default_regularization
 
         for si, (n, m) in enumerate(config.cells()):
@@ -270,11 +273,87 @@ max_param = inf
         good = result.get_cell("sample_average", 30)
         assert math.isfinite(good.mean_abs_error)
 
+    def test_blown_up_relu_fits_are_counted_failures(self, tmp_path):
+        # learning_rate = 1e6 keeps every loss finite, but the fits land
+        # around 1e10 off the data; they count as failed replications
+        # instead of cells with absurd errors.
+        body = TINY.replace("[estimator krr]\n",
+                            "[estimator relu]\nepochs = 20\nlearning_rate = 1e6\n")
+        config = parse_config(write_config(tmp_path, body))
+        result = run_experiment(config)
+        relu = [c for c in result.cells if c.estimator == "relu"]
+        assert [c.replications for c in relu] == [0, 0, 0]
+        assert sum("ybar range" in w for w in result.warnings) == 6
+        assert all(c.replications == 2 for c in result.cells if c.estimator != "relu")
+
     def test_wall_time_recorded_when_enabled(self, tmp_path):
         body = TINY.replace("record_timing = false", "record_timing = true")
         config = parse_config(write_config(tmp_path, body))
         result = run_experiment(config)
         assert all(c.wall_time_s > 0.0 for c in result.cells)
+
+
+class TestThetaMemo:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Count the surfaces built and references computed, from empty memos."""
+        counts = {"surface": 0, "theta": 0}
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(harness, "make_test_function",
+                            counting("surface", harness.make_test_function))
+        monkeypatch.setattr(harness, "true_theta", counting("theta", true_theta))
+        harness._test_function.cache_clear()
+        harness._theta.cache_clear()
+        yield counts
+        harness._test_function.cache_clear()
+        harness._theta.cache_clear()
+
+    def test_warm_reference_equals_cold(self, tmp_path, built):
+        config = parse_config(write_config(tmp_path, TINY))
+        warm = config_theta(config)
+        assert config_theta(config) is warm
+        harness._test_function.cache_clear()
+        harness._theta.cache_clear()
+        cold = config_theta(config)
+        assert cold is not warm and cold == warm
+        assert built == {"surface": 2, "theta": 2}
+
+    @pytest.mark.parametrize("before, after, new_surface", [
+        ({}, {"kernel": KernelSpec("gaussian", 2)}, True),
+        ({}, {"kernel": KernelSpec("laplace", 3)}, True),
+        ({"kernel": KernelSpec("matern", 2, nu=1.5)},
+         {"kernel": KernelSpec("matern", 2, nu=2.5)}, True),
+        ({}, {"centers": 31}, True),
+        ({}, {"master_seed": 12}, True),
+        ({}, {"theta_eval_points": 5001}, False),
+        ({}, {"functional": FunctionalSpec.value_at_risk(0.5)}, False),
+        ({}, {"functional": FunctionalSpec.expectation("identity")}, False),
+        ({"functional": FunctionalSpec.value_at_risk(0.5)},
+         {"functional": FunctionalSpec.value_at_risk(0.9)}, False),
+    ])
+    def test_each_key_field_gives_a_fresh_reference(self, tmp_path, built,
+                                                    before, after, new_surface):
+        config = dataclasses.replace(parse_config(write_config(tmp_path, TINY)), **before)
+        base = config_theta(config)
+        other = config_theta(dataclasses.replace(config, **after))
+        assert other.value != base.value
+        assert built == {"surface": 1 + new_surface, "theta": 2}
+
+    def test_configs_on_one_surface_share_one_reference(self, tmp_path, built):
+        first = parse_config(write_config(tmp_path, TINY))
+        body = TINY.replace("sizes = 30 60 120\n", "sizes = 40 80\n")
+        body = body.replace("[estimator sample_average]\n[estimator krr]\n",
+                            "[estimator krr]\nlambda = 1e-3\n")
+        second = parse_config(write_config(tmp_path, body))
+        a, b = run_experiment(first), run_experiment(second)
+        assert built == {"surface": 1, "theta": 1}
+        assert a.theta is b.theta
 
 
 class TestEmission:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sievesim.rates import (
@@ -33,6 +35,15 @@ class TestAllocate:
             a = allocate("standard", int(budget))
             assert a.n * a.m <= budget
             assert a.n >= 1 and a.m >= 1
+
+    @pytest.mark.parametrize("scheme", ["standard", "smooth"])
+    @given(budgets=st.lists(st.integers(8, 200_000), min_size=2, max_size=2))
+    def test_within_budget_and_monotone(self, scheme, budgets):
+        low, high = (allocate(scheme, b) for b in sorted(budgets))
+        for a in (low, high):
+            assert a.n >= 1 and a.m >= 1
+            assert a.n * a.m <= a.budget
+        assert low.n <= high.n
 
     def test_smooth_scheme(self):
         a = allocate("smooth", 5000)
