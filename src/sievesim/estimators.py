@@ -74,12 +74,9 @@ class SampleAverageEstimator:
         self._tree = None
 
     def predict(self, x) -> np.ndarray:
-        pts = as_points(x)
-        if pts.shape[0] == 0:
-            return np.empty(0)
         if self._tree is None:
             self._tree = cKDTree(self.scenarios)
-        _, idx = self._tree.query(pts)
+        _, idx = self._tree.query(as_points(x))
         return self.ybar[idx]
 
 
@@ -112,10 +109,7 @@ class KRREstimator:
         self.fitted_values = fitted_values
 
     def predict(self, x) -> np.ndarray:
-        pts = as_points(x)
-        if pts.shape[0] == 0:
-            return np.empty(0)
-        return kernel_matrix(self.kernel, pts, self.scenarios) @ self.alpha
+        return kernel_matrix(self.kernel, x, self.scenarios) @ self.alpha
 
 
 def default_regularization(spec: KernelSpec, n: int) -> float:
@@ -242,10 +236,7 @@ class InducingKRREstimator:
         self.fitted_values = fitted_values
 
     def predict(self, x) -> np.ndarray:
-        pts = as_points(x)
-        if pts.shape[0] == 0:
-            return np.empty(0)
-        return kernel_matrix(self.kernel, pts, self.inducing) @ self.beta
+        return kernel_matrix(self.kernel, x, self.inducing) @ self.beta
 
 
 def fit_krr_inducing(
@@ -443,10 +434,7 @@ class ReluSieveEstimator:
         self.fitted_values = fitted_values
 
     def predict(self, x) -> np.ndarray:
-        pts = as_points(x)
-        if pts.shape[0] == 0:
-            return np.empty(0)
-        return self.network.forward(pts)
+        return self.network.forward(as_points(x))
 
 
 def _project(vector: np.ndarray, bound: float, sparsity: int | None) -> None:

@@ -98,15 +98,10 @@ class ExperimentConfig:
             raise ConfigError("exactly one of sizes/budgets must be set")
         if not self.estimators:
             raise ConfigError("at least one estimator is required")
-        for key in ("m", "centers", "replications", "theta_eval_points"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.sigma >= 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be nonnegative")
-        if self.evaluation not in ("train", "fresh"):
-            raise ConfigError(f"evaluation must be 'train' or 'fresh', got {self.evaluation!r}")
+        for key, entry in EXPERIMENT_FIELDS.items():
+            value = getattr(self, entry.field)
+            if value is not None and not entry.ok(value):
+                raise ConfigError(f"{key} must be {entry.accepts}, got {value!r}")
         names = [e.name for e in self.estimators]
         if len(set(names)) < len(names):
             raise ConfigError(f"duplicate estimator names in {names}")
@@ -253,9 +248,17 @@ def _checked(cast, ok):
     return parse
 
 
-_count = _checked(int, lambda v: v >= 1)
+def _at_least_1(value) -> bool:
+    return value >= 1
+
+
+def _finite_nonnegative(value) -> bool:
+    return math.isfinite(value) and value >= 0.0
+
+
+_count = _checked(int, _at_least_1)
 _positive = _checked(float, lambda v: v > 0.0)
-_nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0)
+_nonnegative = _checked(float, _finite_nonnegative)
 
 
 def _counts(raw: str) -> tuple[int, ...]:
@@ -347,12 +350,40 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
 # [estimator NAME] section per estimator; values are flat key = value lines).
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "functional", "eta", "tau", "kernel", "nu", "d", "centers", "sizes", "m",
-    "budgets", "allocation", "sigma", "replications", "master_seed",
-    "theta_eval_points", "record_timing", "evaluation", "smoothness",
-    "alpha", "beta", "gamma",
+class ExperimentKey(NamedTuple):
+    """An ``[experiment]`` key: its :class:`ExperimentConfig` field, accepted values,
+    reader, and range rule (applied when parsed and by ``__post_init__``)."""
+
+    field: str
+    accepts: str
+    cast: Callable[[str], object]
+    ok: Callable[[object], bool] = lambda value: True
+
+
+# Every [experiment] key but the six spec keys; an omitted key keeps its field default.
+EXPERIMENT_FIELDS: dict[str, ExperimentKey] = {
+    "sizes": ExperimentKey("sizes", "integers >= 1, separated by spaces or commas", _counts),
+    "m": ExperimentKey("m", "an integer >= 1", int, _at_least_1),
+    "budgets": ExperimentKey("budgets", "integers >= 8, separated by spaces or commas", _counts),
+    "allocation": ExperimentKey("allocation", "standard or smooth", str),
+    "centers": ExperimentKey("centers", "an integer >= 1", int, _at_least_1),
+    "sigma": ExperimentKey("sigma", "a finite number >= 0", float, _finite_nonnegative),
+    "replications": ExperimentKey("replications", "an integer >= 1", int, _at_least_1),
+    "master_seed": ExperimentKey("master_seed", "an integer >= 0", int, lambda v: v >= 0),
+    "theta_eval_points": ExperimentKey("theta_eval_points", "an integer >= 1", int, _at_least_1),
+    "record_timing": ExperimentKey(
+        "record_timing", "true, false, yes, no, on, off, 1 or 0",
+        lambda raw: _keywords(configparser.ConfigParser.BOOLEAN_STATES)(raw.lower())),
+    "evaluation": ExperimentKey("evaluation", "train or fresh", str,
+                                lambda v: v in ("train", "fresh")),
+    "smoothness": ExperimentKey("smoothness", "a finite number > 0", float,
+                                lambda v: 0.0 < v < math.inf),
+    "alpha": ExperimentKey("var_alpha", "a number in (0, 1]", float, lambda v: 0.0 < v <= 1.0),
+    "beta": ExperimentKey("var_beta", "a number in (0, 1]", float, lambda v: 0.0 < v <= 1.0),
+    "gamma": ExperimentKey("var_gamma", "a finite number >= 1", float,
+                           lambda v: 1.0 <= v < math.inf),
 }
+_EXPERIMENT_KEYS = {"functional", "eta", "tau", "kernel", "nu", "d", *EXPERIMENT_FIELDS}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -377,8 +408,8 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
 
-    def value(key, parse, default=None):
-        return default if key not in exp else _parse("experiment", key, exp[key], parse)
+    def value(key, parse, accepts=""):
+        return None if key not in exp else _parse("experiment", key, exp[key], parse, accepts)
 
     try:
         kind = exp.get("functional", "nested_expectation")
@@ -411,26 +442,10 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             options = ESTIMATOR_KINDS[est_kind].parse_options(section, body)
             settings.append(EstimatorSetting(name=name, kind=est_kind, options=options))
 
-        return ExperimentConfig(
-            functional=functional,
-            kernel=kernel,
-            estimators=tuple(settings),
-            sizes=value("sizes", _counts),
-            m=value("m", int, 1),
-            budgets=value("budgets", _counts),
-            allocation=exp.get("allocation", "standard"),
-            centers=value("centers", int, 1000),
-            sigma=value("sigma", float, 1.0),
-            replications=value("replications", int, 50),
-            master_seed=value("master_seed", int, 0),
-            theta_eval_points=value("theta_eval_points", int, 1_000_000),
-            record_timing=exp.getboolean("record_timing", True),
-            evaluation=exp.get("evaluation", "train"),
-            smoothness=value("smoothness", _checked(float, lambda v: 0.0 < v < math.inf)),
-            var_alpha=value("alpha", float),
-            var_beta=value("beta", float, 1.0),
-            var_gamma=value("gamma", float, 1.0),
-        )
+        fields = {entry.field: value(key, _checked(entry.cast, entry.ok), entry.accepts)
+                  for key, entry in EXPERIMENT_FIELDS.items() if key in exp}
+        return ExperimentConfig(functional=functional, kernel=kernel,
+                                estimators=tuple(settings), **fields)
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
@@ -502,10 +517,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     surface = config_test_function(config)
     theta = config_theta(config)
 
-    errors = {(ei, si): [] for ei in range(len(config.estimators)) for si in range(len(cells))}
-    times = {key: 0.0 for key in errors}
-    warnings: list[str] = []
-
     def run_cell(si: int, r: int):
         data = simulate_cell(config, surface, si, r)
         eval_points = None
@@ -525,14 +536,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 estimate = evaluate_functional(values, config.functional)
                 err = abs(estimate - theta.value)
             except FitError as exc:
-                out.append((ei, None, time.perf_counter() - start,
+                out.append((None, time.perf_counter() - start,
                             f"{setting.name} at n={data.n}, replication {r}: {exc}"))
                 continue
             except Exception as exc:
                 raise RuntimeError(
                     f"estimator {setting.name!r} failed at n={data.n}, replication {r}"
                 ) from exc
-            out.append((ei, err, time.perf_counter() - start, None))
+            out.append((err, time.perf_counter() - start, None))
         return out
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
@@ -542,18 +553,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     else:
         cell_outputs = [run_cell(si, r) for si, r in jobs]
 
-    for (si, r), outputs in zip(jobs, cell_outputs):
-        for ei, err, elapsed, warning in outputs:
-            errors[(ei, si)].append(err)
-            times[(ei, si)] += elapsed
-            if warning:
-                warnings.append(warning)
-
+    # cell_outputs[si * replications + r][ei] is (error or None, seconds, warning).
+    warnings = [warning for outputs in cell_outputs for *_, warning in outputs if warning]
     stats: list[CellStats] = []
     for ei, setting in enumerate(config.estimators):
-        usable = 0
         for si, (n, m) in enumerate(cells):
-            vals = [e for e in errors[(ei, si)] if e is not None]
+            runs = [outputs[ei] for outputs in
+                    cell_outputs[si * config.replications:(si + 1) * config.replications]]
+            vals = [err for err, _, _ in runs if err is not None]
             if vals:
                 mean = float(np.mean(vals))
                 std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
@@ -563,16 +570,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             stats.append(CellStats(
                 estimator=setting.name, n=n, m=m, replications=len(vals),
                 mean_abs_error=mean, std_abs_error=std,
-                wall_time_s=times[(ei, si)] if config.record_timing else 0.0,
+                wall_time_s=sum(t for _, t, _ in runs) if config.record_timing else 0.0,
             ))
-            if math.isfinite(mean) and mean > 0.0:
-                usable += 1
-            else:
-                warnings.append(
-                    f"{setting.name}: cell n={n} excluded from slope fit "
-                    f"(mean error {mean})"
-                )
-        if usable < 3 and len(cells) >= 3:
+            if not enters_slope_fit(stats[-1]):
+                warnings.append(f"{setting.name}: cell n={n} excluded from slope fit "
+                                f"(mean error {mean})")
+        if len(cells) >= 3 and sum(map(enters_slope_fit, stats[-len(cells):])) < 3:
             warnings.append(f"{setting.name}: too few valid cells for a slope fit")
 
     return ExperimentResult(
@@ -618,12 +621,17 @@ def parse_results_csv(path) -> list[CellStats]:
     return read_csv(path, CellStats)
 
 
+def enters_slope_fit(cell: CellStats) -> bool:
+    """Whether a cell is a point of its estimator's log-log slope fit."""
+    return math.isfinite(cell.mean_abs_error) and cell.mean_abs_error > 0.0
+
+
 def slopes_from_cells(cells) -> list[SlopeFit]:
     """Refit per-estimator slopes from cell statistics (e.g. a parsed CSV)."""
     grouped: dict[str, list[tuple[float, float]]] = {}
     for c in cells:
         points = grouped.setdefault(c.estimator, [])
-        if math.isfinite(c.mean_abs_error) and c.mean_abs_error > 0.0:
+        if enters_slope_fit(c):
             points.append((c.n * c.m, c.mean_abs_error))
     return [SlopeFit(name, *fit_loglog_slope(points))
             for name, points in grouped.items() if len(points) >= 3]

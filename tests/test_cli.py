@@ -80,6 +80,7 @@ replications = 1
 theta_eval_points = 1000
 record_timing = false
 """
+VAR = BASE + "functional = var\ntau = 0.95\n"
 
 
 @pytest.mark.parametrize("body, env, key", [
@@ -95,9 +96,13 @@ record_timing = false
     (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "-2"}, "SIEVESIM_THREADS"),
     (BASE + "smoothness = -1\n[estimator krr]\n", {}, "smoothness"),
     (BASE + "[estimator a,b]\nkind = sample_average\n", {}, "a,b"),
+    (BASE + "sigma = inf\n[estimator sample_average]\n", {}, "sigma"),
+    (VAR + "alpha = 5\n[estimator krr]\n", {}, "alpha"),
+    (VAR + "alpha = 0.5\nbeta = 2\n[estimator krr]\n", {}, "beta"),
+    (VAR + "alpha = 0.5\ngamma = 0.5\n[estimator krr]\n", {}, "gamma"),
 ], ids=["selection", "epochs", "lambda", "sigma", "budgets", "inducing_n1", "duplicate_name",
         "threads_abc", "threads_zero", "threads_negative", "smoothness_negative",
-        "name_with_comma"])
+        "name_with_comma", "sigma_inf", "alpha", "beta", "gamma"])
 def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -107,6 +112,21 @@ def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("body, key", [
+    (BASE + "sigma = inf\n[estimator krr]\n", "sigma"),
+    (VAR + "alpha = 5\n[estimator krr]\n", "alpha"),
+    (VAR + "alpha = 0.5\nbeta = 2\n[estimator krr]\n", "beta"),
+    (VAR + "alpha = 0.5\ngamma = 0.5\n[estimator krr]\n", "gamma"),
+], ids=["sigma_inf", "alpha", "beta", "gamma"])
+def test_rates_rejects_bad_experiment_values_before_printing(body, key, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(body)
+    assert main(["rates", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and key in err
 
 
 class TestSlopeCommand:

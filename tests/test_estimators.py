@@ -1,7 +1,10 @@
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sievesim.estimators import (
@@ -296,12 +299,23 @@ class TestReluArchitectureSchedule:
         assert small.parameter_count(3) >= large.parameter_count(3)
 
 
+# One tiny fit of each kind; relu trains 3 epochs so property tests stay fast.
+FITS = {
+    "sample_average": lambda data, spec, seed: fit_sample_average(data),
+    "krr": lambda data, spec, seed: fit_krr(data, spec, 1e-2),
+    "inducing_krr": lambda data, spec, seed: fit_krr_inducing(
+        data, spec, random_subsample(data.scenarios, min(6, data.n), seed=seed)),
+    "relu": lambda data, spec, seed: fit_relu_sieve(
+        data, ReluArchitecture(hidden_widths=(8, 4)), TrainConfig(epochs=3, seed=seed)),
+}
+
+
 class TestPredictContract:
-    def test_empty_input(self):
-        _, _, data = make_data(n=10, seed=36)
-        est = fit_sample_average(data)
-        out = est.predict(np.empty((0, 2)))
-        assert out.shape == (0,)
+    @pytest.mark.parametrize("kind", sorted(FITS))
+    def test_empty_input(self, kind):
+        spec, _, data = make_data(n=10, seed=36)
+        out = FITS[kind](data, spec, 36).predict(np.empty((0, 2)))
+        assert out.shape == (0,) and out.dtype == np.float64
 
     def test_batch_equals_loop(self):
         spec, _, data = make_data(n=25, seed=37)
@@ -337,26 +351,26 @@ class TestFittedValues:
 
 
 class TestSerialization:
-    def test_round_trips(self, tmp_path):
-        spec, _, data = make_data(n=20, seed=39)
-        x = simulate_outer(12, 2, seed=40)
-        fits = {
-            "sa": fit_sample_average(data),
-            "krr": fit_krr(data, spec, 1e-2),
-            "ind": fit_krr_inducing(
-                data, spec, random_subsample(data.scenarios, 4, seed=41)),
-            "relu": fit_relu_sieve(
-                data,
-                ReluArchitecture(hidden_widths=(8,), sparsity=None,
-                                 max_param=10.0),
-                TrainConfig(epochs=30, seed=42)),
-        }
-        for name, est in fits.items():
-            path = tmp_path / f"{name}.txt"
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(sorted(FITS)), n=st.integers(8, 30), d=st.integers(1, 3),
+           family=st.sampled_from(["laplace", "gaussian", "matern"]),
+           seed=st.integers(0, 2**16))
+    def test_round_trips(self, kind, n, d, family, seed):
+        # Reloaded estimators predict bit for bit as fitted, and a loaded
+        # estimator re-saves to the same bytes.
+        spec = KernelSpec.matern(d, 1.5) if family == "matern" else KernelSpec(family, d)
+        f = make_test_function(spec, n_centers=5, seed=seed)
+        data = simulate_inner(f, simulate_outer(n, d, seed=seed + 1), 2, 1.0, seed=seed + 2)
+        est = FITS[kind](data, spec, seed)
+        x = simulate_outer(7, d, seed=seed + 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "est.txt", Path(tmp) / "again.txt"
             save_estimator(est, path)
             back = load_estimator(path)
             assert back.kind == est.kind
-            assert_allclose(back.predict(x), est.predict(x), rtol=0, atol=0)
+            assert np.array_equal(back.predict(x), est.predict(x))
+            save_estimator(back, again)
+            assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("kind", ["sample_average", "krr", "inducing_krr", "relu"])
     def test_committed_v1_file_resaves_byte_identically(self, kind, tmp_path):

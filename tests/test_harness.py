@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import math
 import os
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sievesim import harness
@@ -12,12 +15,17 @@ from sievesim.estimators import fit_krr
 from sievesim.functionals import FunctionalSpec, evaluate_functional
 from sievesim.harness import (
     ESTIMATOR_KINDS,
+    EXPERIMENT_FIELDS,
+    CellStats,
     ConfigError,
+    ExperimentConfig,
     ExperimentResult,
     _worker_count,
+    config_from_parser,
     config_test_function,
     config_theta,
     emit_results,
+    enters_slope_fit,
     fit_loglog_slope,
     parse_config,
     parse_results_csv,
@@ -160,6 +168,54 @@ class TestParseConfig:
                 row = f"| `{kind}` | `{key}` | `{option.default}` | {option.accepts} |"
                 assert row in readme.splitlines()
 
+    def test_readme_lists_every_experiment_key_with_its_field_default(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+        for key in harness._EXPERIMENT_KEYS:
+            assert any(line.startswith(f"| `{key}` | ") for line in readme), key
+        for key, entry in EXPERIMENT_FIELDS.items():
+            default = ExperimentConfig.__dataclass_fields__[entry.field].default
+            shown = ("unset" if default is None
+                     else f"`{str(default).lower() if isinstance(default, bool) else default}`")
+            assert f"| `{key}` | {shown} | {entry.accepts} |" in readme
+
+    def test_omitted_keys_keep_the_dataclass_defaults(self):
+        parser = configparser.ConfigParser()
+        parser.read_string("[experiment]\nd = 2\nbudgets = 100\n[estimator krr]\n")
+        config = config_from_parser(parser)
+        for key, entry in EXPERIMENT_FIELDS.items():
+            if key != "budgets":
+                want = ExperimentConfig.__dataclass_fields__[entry.field].default
+                assert getattr(config, entry.field) == want, key
+
+    @pytest.mark.parametrize("key, raw", [
+        ("sigma", "nan"), ("sigma", "-0.5"), ("alpha", "0"), ("gamma", "inf"),
+        ("smoothness", "0"), ("m", "0"), ("master_seed", "-1"), ("evaluation", "test"),
+        ("record_timing", "maybe"),
+    ])
+    def test_out_of_range_value_names_the_key(self, key, raw):
+        parser = configparser.ConfigParser()
+        parser.read_string(f"[experiment]\nd = 2\nsizes = 30\n{key} = {raw}\n[estimator krr]\n")
+        with pytest.raises(ConfigError, match=f"bad value {key} = '{raw}'"):
+            config_from_parser(parser)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", math.inf), ("var_alpha", 5.0), ("var_beta", 2.0), ("var_gamma", 0.5),
+        ("replications", 0), ("master_seed", -1), ("evaluation", "test"),
+    ])
+    def test_replace_applies_the_same_range_rule(self, tmp_path, field, value):
+        config = parse_config(write_config(tmp_path, TINY))
+        key = {"var_alpha": "alpha", "var_beta": "beta", "var_gamma": "gamma"}.get(field, field)
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            dataclasses.replace(config, **{field: value})
+
+    @pytest.mark.parametrize("raw, want", [
+        ("true", True), ("Yes", True), ("ON", True), ("1", True),
+        ("false", False), ("no", False), ("Off", False), ("0", False),
+    ])
+    def test_record_timing_takes_every_configparser_boolean(self, tmp_path, raw, want):
+        body = TINY.replace("record_timing = false", f"record_timing = {raw}")
+        assert parse_config(write_config(tmp_path, body)).record_timing is want
+
     def test_named_sections_give_distinct_estimators(self, tmp_path):
         body = TINY + "[estimator wide_net]\nkind = relu\nepochs = 5\n"
         config = parse_config(write_config(tmp_path, body))
@@ -192,17 +248,24 @@ class TestRunExperiment:
         monkeypatch.delenv("SIEVESIM_THREADS")
         assert _worker_count() == 1
 
-    def test_replication_data_isolated_by_seed(self, tmp_path):
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2), st.data())
+    def test_replication_data_isolated_by_seed(self, total_a, total_b, size_index, data):
         # The dataset at (size, replication) depends only on the master seed
         # and those two indices, never on the replication total.
-        config = parse_config(write_config(tmp_path, TINY))
-        more = dataclasses.replace(config, replications=5)
+        parser = configparser.ConfigParser()
+        parser.read_string(TINY)
+        config = config_from_parser(parser)
+        r = data.draw(st.integers(0, min(total_a, total_b) - 1), label="replication")
+        a_config = dataclasses.replace(config, replications=total_a)
+        b_config = dataclasses.replace(config, replications=total_b)
         surface = config_test_function(config)
-        a = simulate_cell(config, surface, 1, 0)
-        b = simulate_cell(more, surface, 1, 0)
-        assert_allclose(a.ybar, b.ybar, rtol=0, atol=0)
-        c = simulate_cell(config, surface, 1, 1)
-        assert not np.allclose(a.ybar, c.ybar)
+        a = simulate_cell(a_config, surface, size_index, r)
+        b = simulate_cell(b_config, surface, size_index, r)
+        assert np.array_equal(a.scenarios, b.scenarios)
+        assert np.array_equal(a.ybar, b.ybar)
+        other = simulate_cell(a_config, surface, size_index, r + 1)
+        assert not np.allclose(a.ybar, other.ybar)
 
     def test_statistics_match_two_pass_oracle(self, tmp_path):
         # Recompute every replication error by hand and compare the
@@ -285,6 +348,22 @@ max_param = inf
         assert [c.replications for c in relu] == [0, 0, 0]
         assert sum("ybar range" in w for w in result.warnings) == 6
         assert all(c.replications == 2 for c in result.cells if c.estimator != "relu")
+
+    def test_too_few_valid_cells_warned_after_the_excluded_ones(self, tmp_path):
+        # At learning rate 1 the two smallest relu cells diverge in every
+        # replication, leaving two cells for a four-size slope fit.
+        body = TINY.replace("sizes = 30 60 120", "sizes = 30 60 120 240").replace(
+            "[estimator krr]\n", "[estimator relu]\nepochs = 20\nlearning_rate = 1\n")
+        result = run_experiment(parse_config(write_config(tmp_path, body)))
+        fit_failures = [w for w in result.warnings if w.startswith("relu at n=")]
+        assert list(result.warnings[len(fit_failures):]) == [
+            "relu: every replication failed at n=30",
+            "relu: cell n=30 excluded from slope fit (mean error nan)",
+            "relu: every replication failed at n=60",
+            "relu: cell n=60 excluded from slope fit (mean error nan)",
+            "relu: too few valid cells for a slope fit",
+        ]
+        assert [s.estimator for s in result.slopes] == ["sample_average"]
 
     def test_wall_time_recorded_when_enabled(self, tmp_path):
         body = TINY.replace("record_timing = false", "record_timing = true")
@@ -399,6 +478,16 @@ class TestEmission:
         paths = emit_results(result, fmt="csv", path=tmp_path / "golden.csv")
         assert paths[0].read_bytes() == (DATA / "golden_results.csv").read_bytes()
         assert paths[1].read_bytes() == (DATA / "golden_results_slopes.csv").read_bytes()
+
+    @pytest.mark.parametrize("mean, enters", [
+        (0.25, True), (1e-300, True), (0.0, False), (-0.25, False),
+        (math.nan, False), (math.inf, False),
+    ])
+    def test_slope_fit_takes_finite_positive_means(self, mean, enters):
+        cells = [CellStats("e", n, 1, 2, mean if n == 40 else 1.0 / n, 0.0, 0.0)
+                 for n in (10, 20, 40)]
+        assert enters_slope_fit(cells[2]) is enters
+        assert len(slopes_from_cells(cells)) == int(enters)
 
     def test_refit_slopes_from_csv_match(self):
         config = parse_config(DATA / "golden_config.ini")

@@ -1,8 +1,11 @@
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sievesim.functionals import FunctionalSpec
@@ -195,18 +198,22 @@ class TestSerialization:
         x = rng.random((4, 3))
         assert_allclose(g(x), f(x), rtol=0, atol=0)
 
-    def test_dataset_round_trip(self, tmp_path):
-        spec = KernelSpec.laplace(2)
-        f = make_test_function(spec, n_centers=8, seed=37)
-        x = simulate_outer(25, 2, seed=38)
-        data = simulate_inner(f, x, 4, 0.6, seed=39)
-        path = tmp_path / "data.txt"
-        save_dataset(data, path)
-        back = load_dataset(path)
-        assert back.m == 4
-        assert back.noise_sigma == 0.6
-        assert_allclose(back.scenarios, data.scenarios, rtol=0, atol=0)
-        assert_allclose(back.ybar, data.ybar, rtol=0, atol=0)
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 4), m=st.integers(1, 6),
+           sigma=st.floats(0.0, 10.0), seed=st.integers(0, 2**16))
+    def test_dataset_round_trip(self, n, d, m, sigma, seed):
+        f = make_test_function(KernelSpec.laplace(d), n_centers=8, seed=seed)
+        data = simulate_inner(f, simulate_outer(n, d, seed=seed + 1), m, sigma, seed=seed + 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "data.txt", Path(tmp) / "again.txt"
+            save_dataset(data, path)
+            back = load_dataset(path)
+            save_dataset(back, again)
+            assert again.read_bytes() == path.read_bytes()
+        assert back.m == m
+        assert back.noise_sigma == sigma
+        assert np.array_equal(back.scenarios, data.scenarios)
+        assert np.array_equal(back.ybar, data.ybar)
 
     @pytest.mark.parametrize("name, load, save", [
         ("test_function_matern", load_test_function, save_test_function),
