@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 from sievesim.estimators import (
     FitError,
+    InducingKRREstimator,
+    KRREstimator,
     ReluArchitecture,
     TrainConfig,
     TrainingDiverged,
@@ -350,6 +352,35 @@ class TestFittedValues:
         assert load_estimator(tmp_path / "krr.txt").fitted_values is None
 
 
+class TestKernelFitMeta:
+    @staticmethod
+    def assert_meta(est, data, detail):
+        assert (est.meta.n, est.meta.m) == (data.n, data.m)
+        assert est.meta.residual_norm == float(
+            np.sqrt(np.mean((est.fitted_values - data.ybar) ** 2)))
+        assert est.meta.detail == detail
+
+    def test_krr(self):
+        spec, _, data = make_data(n=30, m=3, seed=47)
+        est = fit_krr(data, spec, 0.05, jitter=1e-9)
+        self.assert_meta(est, data, {"jitter": 1e-9})
+        assert est.lam == 0.05
+
+    def test_inducing_default_ridge(self):
+        spec, _, data = make_data(n=30, m=2, seed=48)
+        points = data.scenarios[:6]
+        est = fit_krr_inducing(data, spec, points)
+        design = kernel_matrix(spec, data.scenarios, points)
+        assert_allclose(est.ridge, 1e-8 * np.trace(design.T @ design) / 6, rtol=1e-12)
+        self.assert_meta(est, data, {"inducing_count": 6, "ridge": est.ridge})
+
+    def test_inducing_given_ridge(self):
+        spec, _, data = make_data(n=30, seed=49)
+        est = fit_krr_inducing(data, spec, data.scenarios[:5], ridge=1e-3)
+        self.assert_meta(est, data, {"inducing_count": 5, "ridge": 1e-3})
+        assert est.ridge == 1e-3
+
+
 class TestSerialization:
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(sorted(FITS)), n=st.integers(8, 30), d=st.integers(1, 3),
@@ -379,3 +410,8 @@ class TestSerialization:
         assert est.kind == kind
         save_estimator(est, tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == source.read_bytes()
+
+    @pytest.mark.parametrize("kind, cls", [("krr", KRREstimator),
+                                           ("inducing_krr", InducingKRREstimator)])
+    def test_committed_v1_kernel_file_loads_as_its_class(self, kind, cls):
+        assert type(load_estimator(V1_FILES / f"{kind}.txt")) is cls
