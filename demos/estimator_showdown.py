@@ -45,7 +45,7 @@ def main():
         "sample average": fit_sample_average(data),
         "kernel ridge": fit_krr(data, kernel, 1e-2),
         f"inducing ({count} pts)": fit_krr_inducing(
-            data, kernel, random_subsample(scenarios, count, seed=11)),
+            data, kernel, scenarios[random_subsample(scenarios, count, seed=11)]),
         "relu network": fit_relu_sieve(
             data, default_relu_architecture(),
             TrainConfig(epochs=300, batch_size=512, seed=12)),

@@ -23,8 +23,8 @@ from sievesim import (
 def coverage_table(points, sizes, seed):
     print(f"{'S':>5s} {'random fill':>12s} {'greedy fill':>12s}")
     for size in sizes:
-        random_fill = fill_distance(points, random_subsample(points, size, seed=seed).points)
-        greedy_fill = fill_distance(points, farthest_point_sample(points, size, seed=seed).points)
+        random_fill = fill_distance(points, points[random_subsample(points, size, seed=seed)])
+        greedy_fill = fill_distance(points, points[farthest_point_sample(points, size, seed=seed)])
         print(f"{size:>5d} {random_fill:12.4f} {greedy_fill:12.4f}")
 
 
@@ -52,12 +52,12 @@ def main():
     truth = surface(probe)
     print("\nout-of-sample rmse of the inducing fit, 25 points each way:")
     for label, subset in (
-        ("random", random_subsample(points, 25, seed=25)),
-        ("farthest-point", farthest_point_sample(points, 25, seed=25)),
+        ("random", points[random_subsample(points, 25, seed=25)]),
+        ("farthest-point", points[farthest_point_sample(points, 25, seed=25)]),
     ):
         fit = fit_krr_inducing(data, kernel, subset)
         rmse = np.sqrt(np.mean((fit.predict(probe) - truth) ** 2))
-        print(f"  {label:>15s}: {rmse:.4f} (fill {fill_distance(points, subset.points):.4f})")
+        print(f"  {label:>15s}: {rmse:.4f} (fill {fill_distance(points, subset):.4f})")
 
     print("\nGreedy selection halves the fill distance, yet the random")
     print("subset fits about as well: the regression runs over all the")

@@ -7,6 +7,7 @@ All four estimators consume a :class:`~sievesim.synthetic.NestedDataset`
   nearest neighbor;
 * kernel ridge regression on the full scenario set;
 * least squares on the span of kernel sections at a few inducing points;
+  both are a :class:`KernelExpansion` over their own points;
 * a sparse, bounded ReLU network trained by an adaptive first-order method.
 
 A fit also keeps ``fitted_values``, its predictions at the training
@@ -91,25 +92,67 @@ def fit_sample_average(data: NestedDataset) -> SampleAverageEstimator:
 
 
 # ---------------------------------------------------------------------------
-# Kernel ridge regression
+# Kernel expansions: full KRR and least squares on an inducing-point span
 # ---------------------------------------------------------------------------
 
-class KRREstimator:
-    """Kernel expansion over all scenarios: ``f(x) = sum_i alpha_i k(x, x_i)``."""
+class KernelExpansion:
+    """Least-squares fit on the span of kernel sections at ``points``:
+    ``f(x) = sum_j weights_j k(x, points_j)``.
 
-    kind = "krr"
+    Full KRR spans all scenarios and stores its ``lam``; the inducing-point
+    fit spans a few of them and stores its ridge.  Either is
+    ``regularization``.
+    """
 
-    def __init__(self, kernel: KernelSpec, scenarios, alpha, lam: float, meta: TrainingMeta,
-                 fitted_values=None):
+    def __init__(self, kernel: KernelSpec, points, weights, regularization: float,
+                 meta: TrainingMeta, fitted_values=None):
         self.kernel = kernel
-        self.scenarios = as_points(scenarios)
-        self.alpha = np.asarray(alpha, dtype=float).reshape(-1)
-        self.lam = lam
+        self.points = as_points(points)
+        self.weights = np.asarray(weights, dtype=float).reshape(-1)
+        self.regularization = regularization
         self.meta = meta
         self.fitted_values = fitted_values
 
     def predict(self, x) -> np.ndarray:
-        return kernel_matrix(self.kernel, x, self.scenarios) @ self.alpha
+        return kernel_matrix(self.kernel, x, self.points) @ self.weights
+
+
+# Each kind binds predict in its own dict: perfbench/spans.py wraps it there by class name.
+class KRREstimator(KernelExpansion):
+    """Kernel expansion over all scenarios; saved with header key ``lam``."""
+
+    kind, regularization_field, weights_column = "krr", "lam", "alpha"
+    predict = KernelExpansion.predict
+
+
+class InducingKRREstimator(KernelExpansion):
+    """Kernel expansion over inducing points; saved with header key ``ridge``."""
+
+    kind, regularization_field, weights_column = "inducing_krr", "ridge", "beta"
+    predict = KernelExpansion.predict
+
+
+_KERNEL_KINDS = {cls.kind: cls for cls in (KRREstimator, InducingKRREstimator)}
+
+
+def _solve_expansion(cls, data: NestedDataset, spec: KernelSpec, points, basis, system, rhs,
+                     regularization: float, detail: dict, diagnose):
+    """Factor the SPD ``system`` in place and solve it for the weights.
+
+    ``basis`` maps the weights to the fitted values at the scenarios.  A
+    failed factorization raises :class:`FitError` with ``diagnose(exc)`` as
+    its message.
+    """
+    try:
+        cho = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
+        weights = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise FitError(diagnose(exc)) from exc
+    fitted = basis @ weights
+    meta = TrainingMeta(n=data.n, m=data.m, residual_norm=_residual_norm(fitted, data.ybar),
+                        detail=detail)
+    return cls(kernel=spec, points=points, weights=weights, regularization=regularization,
+               meta=meta, fitted_values=fitted)
 
 
 def default_regularization(spec: KernelSpec, n: int) -> float:
@@ -142,7 +185,7 @@ def fit_krr(
     lam: float,
     jitter: float = DEFAULT_JITTER,
 ) -> KRREstimator:
-    """Solve ``(K + n lam I) alpha = ybar`` on the jittered scenario gram.
+    """Solve ``(K + n lam I) weights = ybar`` on the jittered scenario gram.
 
     ``lam = 0`` is allowed (interpolation up to jitter).  A failed Cholesky
     factorization raises :class:`FitError` with a conditioning diagnostic.
@@ -153,31 +196,16 @@ def fit_krr(
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
     n = data.n
     k = kernel_matrix(spec, data.scenarios, data.scenarios)
-    try:
-        # Factored in place, so K stays intact for the fitted values.
-        cho = scipy.linalg.cho_factor(_krr_system(k, jitter, n * lam), lower=True,
-                                      overwrite_a=True, check_finite=False)
-        alpha = scipy.linalg.cho_solve(cho, data.ybar, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+
+    def diagnose(exc):
+        # The system is factored in place, so the diagnostic rebuilds it from K.
         eigs = scipy.linalg.eigvalsh(_krr_system(k, jitter, n * lam))
-        raise FitError(
-            f"KRR solve failed at n={n}, lam={lam}: {exc}; "
-            f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-        ) from exc
-    fitted = k @ alpha
-    return KRREstimator(
-        kernel=spec,
-        scenarios=data.scenarios,
-        alpha=alpha,
-        lam=lam,
-        meta=TrainingMeta(
-            n=n,
-            m=data.m,
-            residual_norm=_residual_norm(fitted, data.ybar),
-            detail={"jitter": jitter},
-        ),
-        fitted_values=fitted,
-    )
+        return (f"KRR solve failed at n={n}, lam={lam}: {exc}; "
+                f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
+
+    return _solve_expansion(KRREstimator, data, spec, data.scenarios, k,
+                            _krr_system(k, jitter, n * lam), data.ybar, lam,
+                            {"jitter": jitter}, diagnose)
 
 
 def cross_validate_regularization(
@@ -217,28 +245,6 @@ def cross_validate_regularization(
     return grid[int(np.argmin(scores))]
 
 
-# ---------------------------------------------------------------------------
-# Least squares on an inducing-point span
-# ---------------------------------------------------------------------------
-
-class InducingKRREstimator:
-    """Kernel expansion over inducing points only."""
-
-    kind = "inducing_krr"
-
-    def __init__(self, kernel: KernelSpec, inducing, beta, ridge: float, meta: TrainingMeta,
-                 fitted_values=None):
-        self.kernel = kernel
-        self.inducing = as_points(inducing)
-        self.beta = np.asarray(beta, dtype=float).reshape(-1)
-        self.ridge = ridge
-        self.meta = meta
-        self.fitted_values = fitted_values
-
-    def predict(self, x) -> np.ndarray:
-        return kernel_matrix(self.kernel, x, self.inducing) @ self.beta
-
-
 def fit_krr_inducing(
     data: NestedDataset,
     spec: KernelSpec,
@@ -247,7 +253,7 @@ def fit_krr_inducing(
 ) -> InducingKRREstimator:
     """Least squares on the span of kernel sections at the inducing points.
 
-    Solves the normal equations ``(K_sn K_ns + ridge I) beta = K_sn ybar``.
+    Solves the normal equations ``(K_sn K_ns + ridge I) weights = K_sn ybar``.
     ``ridge=None`` applies the stability default ``1e-8 * trace / S``;
     ``ridge=0`` solves the bare normal equations and raises on rank
     deficiency, reporting the numerical rank.
@@ -255,38 +261,23 @@ def fit_krr_inducing(
     ind = as_points(inducing)
     s_count = ind.shape[0]
     design = kernel_matrix(spec, data.scenarios, ind)
-    normal = design.T @ design
+    system = design.T @ design
     rhs = design.T @ data.ybar
     if ridge is None:
-        ridge = 1e-8 * float(np.trace(normal)) / s_count
+        ridge = 1e-8 * float(np.trace(system)) / s_count
     elif ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    system = normal.copy()
     if ridge:
         system[np.diag_indices_from(system)] += ridge
-    try:
-        cho = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
-        beta = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        rank = int(np.linalg.matrix_rank(normal))
-        raise FitError(
-            f"inducing-point normal equations are rank deficient without ridge: "
-            f"rank {rank} of {s_count}"
-        ) from exc
-    fitted = design @ beta
-    return InducingKRREstimator(
-        kernel=spec,
-        inducing=ind,
-        beta=beta,
-        ridge=ridge,
-        meta=TrainingMeta(
-            n=data.n,
-            m=data.m,
-            residual_norm=_residual_norm(fitted, data.ybar),
-            detail={"inducing_count": s_count, "ridge": ridge},
-        ),
-        fitted_values=fitted,
-    )
+
+    def diagnose(exc):
+        # The system is factored in place, so the rank is read from a fresh K_sn K_ns.
+        rank = int(np.linalg.matrix_rank(design.T @ design))
+        return (f"inducing-point normal equations are rank deficient without ridge: "
+                f"rank {rank} of {s_count}")
+
+    return _solve_expansion(InducingKRREstimator, data, spec, ind, design, system, rhs, ridge,
+                            {"inducing_count": s_count, "ridge": ridge}, diagnose)
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +519,11 @@ def save_estimator(est, path) -> None:
     if est.kind == "sample_average":
         fields = {"n": len(est.ybar), "dim": est.scenarios.shape[1]}
         columns, table = "x_1..x_d ybar", np.column_stack((est.scenarios, est.ybar))
-    elif est.kind == "krr":
-        fields = {**kernel_fields(est.kernel), "n": len(est.alpha), "lam": float(est.lam)}
-        columns, table = "x_1..x_d alpha", np.column_stack((est.scenarios, est.alpha))
-    elif est.kind == "inducing_krr":
-        fields = {**kernel_fields(est.kernel), "n": len(est.beta), "ridge": float(est.ridge)}
-        columns, table = "x_1..x_d beta", np.column_stack((est.inducing, est.beta))
+    elif isinstance(est, KernelExpansion):
+        fields = {**kernel_fields(est.kernel), "n": len(est.weights),
+                  est.regularization_field: float(est.regularization)}
+        columns = f"x_1..x_d {est.weights_column}"
+        table = np.column_stack((est.points, est.weights))
     elif est.kind == "relu":
         arch = est.architecture
         fields = {"dim": est.network.layer_dims[0],
@@ -553,12 +543,10 @@ def load_estimator(path):
     meta = TrainingMeta(n=0, m=0, residual_norm=float("nan"), detail={"loaded": True})
     if kind == "sample_average":
         return SampleAverageEstimator(scenarios=points, ybar=values, meta=meta)
-    if kind == "krr":
-        return KRREstimator(kernel=kernel_from_fields(fields), scenarios=points,
-                            alpha=values, lam=float(fields["lam"]), meta=meta)
-    if kind == "inducing_krr":
-        return InducingKRREstimator(kernel=kernel_from_fields(fields), inducing=points,
-                                    beta=values, ridge=float(fields["ridge"]), meta=meta)
+    if kind in _KERNEL_KINDS:
+        cls = _KERNEL_KINDS[kind]
+        return cls(kernel=kernel_from_fields(fields), points=points, weights=values,
+                   regularization=float(fields[cls.regularization_field]), meta=meta)
     if kind == "relu":
         widths = tuple(int(w) for w in fields["hidden"].split(","))
         sparsity = None if fields["sparsity"] == "-" else int(fields["sparsity"])

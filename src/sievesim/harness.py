@@ -297,7 +297,7 @@ def _fit_inducing(options, data, kernel, seed):
                                         s=kernel.smoothness, mode=count)
     count = max(1, min(count, data.n))
     select = random_subsample if options["selection"] == "random" else farthest_point_sample
-    inducing = select(data.scenarios, count, seed=seed)
+    inducing = data.scenarios[select(data.scenarios, count, seed=seed)]
     return est_mod.fit_krr_inducing(data, kernel, inducing, ridge=options["ridge"])
 
 
@@ -391,7 +391,7 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

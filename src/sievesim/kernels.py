@@ -86,30 +86,8 @@ class KernelSpec:
         return None
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Rows of points, optionally remembering indices into a parent set."""
-
-    points: np.ndarray
-    parent_indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "points", pts)
-        if self.parent_indices is not None:
-            idx = np.asarray(self.parent_indices, dtype=int)
-            if idx.shape != (pts.shape[0],):
-                raise ValueError("parent_indices must have one entry per point")
-            object.__setattr__(self, "parent_indices", idx)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def as_points(obj) -> np.ndarray:
-    """Coerce a PointSet or array-like into a float (n, d) array."""
-    if isinstance(obj, PointSet):
-        return obj.points
+    """Coerce an array-like into a float (n, d) array."""
     pts = np.asarray(obj, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -199,8 +177,9 @@ def fill_distance(candidates, selected) -> float:
     return float(cdist(cand, sel).min(axis=1).max())
 
 
-def farthest_point_sample(candidates, count: int, seed=0) -> PointSet:
-    """Greedy max-min subsample: each pick maximizes distance to those chosen.
+def farthest_point_sample(candidates, count: int, seed=0) -> np.ndarray:
+    """Indices of a greedy max-min subsample: each pick maximizes distance to
+    those chosen.
 
     The first point is drawn uniformly from the candidates using ``seed``;
     every later pick is the candidate farthest from the current selection
@@ -217,15 +196,15 @@ def farthest_point_sample(candidates, count: int, seed=0) -> PointSet:
     for i in range(1, count):
         chosen[i] = int(np.argmax(min_dist))
         np.minimum(min_dist, cdist(cand, cand[chosen[i]][None, :]).ravel(), out=min_dist)
-    return PointSet(points=cand[chosen], parent_indices=chosen)
+    return chosen
 
 
-def random_subsample(candidates, count: int, seed=0) -> PointSet:
-    """Uniform subsample without replacement; ``count == n`` is a permutation."""
+def random_subsample(candidates, count: int, seed=0) -> np.ndarray:
+    """Indices of a uniform subsample without replacement; ``count == n``
+    gives a permutation."""
     cand = as_points(candidates)
     n = cand.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(n, size=count, replace=False)
-    return PointSet(points=cand[chosen], parent_indices=chosen)
+    return rng.choice(n, size=count, replace=False)

@@ -100,9 +100,12 @@ VAR = BASE + "functional = var\ntau = 0.95\n"
     (VAR + "alpha = 5\n[estimator krr]\n", {}, "alpha"),
     (VAR + "alpha = 0.5\nbeta = 2\n[estimator krr]\n", {}, "beta"),
     (VAR + "alpha = 0.5\ngamma = 0.5\n[estimator krr]\n", {}, "gamma"),
+    (BASE + "sigma = 5%\n[estimator krr]\n", {}, "sigma"),
+    (BASE + "[estimator krr]\nlambda = 1%\n", {}, "lambda"),
 ], ids=["selection", "epochs", "lambda", "sigma", "budgets", "inducing_n1", "duplicate_name",
         "threads_abc", "threads_zero", "threads_negative", "smoothness_negative",
-        "name_with_comma", "sigma_inf", "alpha", "beta", "gamma"])
+        "name_with_comma", "sigma_inf", "alpha", "beta", "gamma", "sigma_percent",
+        "lambda_percent"])
 def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

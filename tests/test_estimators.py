@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from sievesim.estimators import (
     FitError,
     InducingKRREstimator,
+    KernelExpansion,
     KRREstimator,
     ReluArchitecture,
     TrainConfig,
@@ -93,7 +94,7 @@ class TestKRR:
         est = fit_krr(data, spec, lam, jitter=0.0)
         K = np.exp(-((x - x.T) ** 2) / 1.0)
         oracle = np.linalg.solve(K + 3 * lam * np.eye(3), ybar)
-        assert_allclose(est.alpha, oracle, rtol=1e-10)
+        assert_allclose(est.weights, oracle, rtol=1e-10)
 
     def test_span_recovery(self):
         # Targets built as a kernel expansion over the scenarios themselves
@@ -153,7 +154,7 @@ class TestKRR:
 class TestInducingKRR:
     def test_full_inducing_set_matches_interpolation(self):
         spec, _, data = make_data(n=30, seed=13)
-        full = random_subsample(data.scenarios, 30, seed=14)
+        full = data.scenarios[random_subsample(data.scenarios, 30, seed=14)]
         est = fit_krr_inducing(data, spec, full, ridge=0.0)
         krr = fit_krr(data, spec, 0.0, jitter=1e-10)
         assert_allclose(est.predict(data.scenarios),
@@ -161,35 +162,32 @@ class TestInducingKRR:
 
     def test_single_inducing_point_closed_form(self):
         spec, _, data = make_data(n=25, seed=15)
-        one = random_subsample(data.scenarios, 1, seed=16)
+        one = data.scenarios[random_subsample(data.scenarios, 1, seed=16)]
         est = fit_krr_inducing(data, spec, one, ridge=0.0)
-        k = kernel_matrix(spec, data.scenarios, one.points)[:, 0]
-        assert_allclose(est.beta[0], (k @ data.ybar) / (k @ k), rtol=1e-12)
+        k = kernel_matrix(spec, data.scenarios, one)[:, 0]
+        assert_allclose(est.weights[0], (k @ data.ybar) / (k @ k), rtol=1e-12)
 
     def test_beta_matches_least_squares_oracle(self):
         # 50 scenarios, 5 inducing points; the oracle solves the rectangular
         # system directly by QR-based least squares.
         spec, _, data = make_data(n=50, seed=17)
-        inducing = random_subsample(data.scenarios, 5, seed=18)
+        inducing = data.scenarios[random_subsample(data.scenarios, 5, seed=18)]
         est = fit_krr_inducing(data, spec, inducing, ridge=0.0)
-        design = kernel_matrix(spec, data.scenarios, inducing.points)
+        design = kernel_matrix(spec, data.scenarios, inducing)
         oracle, *_ = np.linalg.lstsq(design, data.ybar, rcond=None)
-        assert_allclose(est.beta, oracle, rtol=1e-8)
+        assert_allclose(est.weights, oracle, rtol=1e-8)
 
     def test_default_ridge_scales_with_problem(self):
         spec, _, data = make_data(n=40, seed=19)
-        inducing = random_subsample(data.scenarios, 6, seed=20)
+        inducing = data.scenarios[random_subsample(data.scenarios, 6, seed=20)]
         est = fit_krr_inducing(data, spec, inducing)
-        assert est.ridge > 0.0
+        assert est.regularization > 0.0
 
     def test_rank_deficient_raises(self):
         # The same inducing point twice makes the normal equations singular.
         spec, _, data = make_data(n=20, seed=21)
-        from sievesim.kernels import PointSet
-        pt = data.scenarios[2]
-        dup = PointSet(points=np.vstack([pt, pt]),
-                       parent_indices=np.array([2, 2]))
-        with pytest.raises(FitError, match="rank"):
+        dup = data.scenarios[[2, 2]]
+        with pytest.raises(FitError, match="without ridge: rank 1 of 2$"):
             fit_krr_inducing(data, spec, dup, ridge=0.0)
 
 
@@ -306,7 +304,7 @@ FITS = {
     "sample_average": lambda data, spec, seed: fit_sample_average(data),
     "krr": lambda data, spec, seed: fit_krr(data, spec, 1e-2),
     "inducing_krr": lambda data, spec, seed: fit_krr_inducing(
-        data, spec, random_subsample(data.scenarios, min(6, data.n), seed=seed)),
+        data, spec, data.scenarios[random_subsample(data.scenarios, min(6, data.n), seed=seed)]),
     "relu": lambda data, spec, seed: fit_relu_sieve(
         data, ReluArchitecture(hidden_widths=(8, 4)), TrainConfig(epochs=3, seed=seed)),
 }
@@ -332,9 +330,9 @@ class TestFittedValues:
         "sample_average": lambda data, spec: fit_sample_average(data),
         "krr": lambda data, spec: fit_krr(data, spec, 1e-2),
         "inducing_random": lambda data, spec: fit_krr_inducing(
-            data, spec, random_subsample(data.scenarios, 6, seed=44)),
+            data, spec, data.scenarios[random_subsample(data.scenarios, 6, seed=44)]),
         "inducing_farthest": lambda data, spec: fit_krr_inducing(
-            data, spec, farthest_point_sample(data.scenarios, 6, seed=44)),
+            data, spec, data.scenarios[farthest_point_sample(data.scenarios, 6, seed=44)]),
         "relu": lambda data, spec: fit_relu_sieve(
             data, ReluArchitecture(hidden_widths=(8, 4)), TrainConfig(epochs=3, seed=45)),
     }
@@ -364,21 +362,21 @@ class TestKernelFitMeta:
         spec, _, data = make_data(n=30, m=3, seed=47)
         est = fit_krr(data, spec, 0.05, jitter=1e-9)
         self.assert_meta(est, data, {"jitter": 1e-9})
-        assert est.lam == 0.05
+        assert est.regularization == 0.05
 
     def test_inducing_default_ridge(self):
         spec, _, data = make_data(n=30, m=2, seed=48)
         points = data.scenarios[:6]
         est = fit_krr_inducing(data, spec, points)
         design = kernel_matrix(spec, data.scenarios, points)
-        assert_allclose(est.ridge, 1e-8 * np.trace(design.T @ design) / 6, rtol=1e-12)
-        self.assert_meta(est, data, {"inducing_count": 6, "ridge": est.ridge})
+        assert_allclose(est.regularization, 1e-8 * np.trace(design.T @ design) / 6, rtol=1e-12)
+        self.assert_meta(est, data, {"inducing_count": 6, "ridge": est.regularization})
 
     def test_inducing_given_ridge(self):
         spec, _, data = make_data(n=30, seed=49)
         est = fit_krr_inducing(data, spec, data.scenarios[:5], ridge=1e-3)
         self.assert_meta(est, data, {"inducing_count": 5, "ridge": 1e-3})
-        assert est.ridge == 1e-3
+        assert est.regularization == 1e-3
 
 
 class TestSerialization:
@@ -415,3 +413,4 @@ class TestSerialization:
                                            ("inducing_krr", InducingKRREstimator)])
     def test_committed_v1_kernel_file_loads_as_its_class(self, kind, cls):
         assert type(load_estimator(V1_FILES / f"{kind}.txt")) is cls
+        assert issubclass(cls, KernelExpansion)

@@ -175,7 +175,7 @@ class TestFillDistance:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
         candidates = rng.random((100, 2))
-        selected = farthest_point_sample(candidates, 10, seed=11).points
+        selected = candidates[farthest_point_sample(candidates, 10, seed=11)]
         assert_allclose(fill_distance(candidates, selected),
                         brute_fill_distance(candidates, selected), rtol=1e-14)
 
@@ -185,14 +185,14 @@ class TestFarthestPointSample:
         rng = np.random.default_rng(12)
         pts = rng.random((7, 3))
         sel = farthest_point_sample(pts, 7, seed=0)
-        assert sorted(sel.parent_indices.tolist()) == list(range(7))
+        assert sorted(sel.tolist()) == list(range(7))
 
     def test_single_point_is_seeded_start(self):
         rng = np.random.default_rng(13)
         pts = rng.random((10, 2))
         a = farthest_point_sample(pts, 1, seed=99)
         b = farthest_point_sample(pts, 1, seed=99)
-        assert a.parent_indices.tolist() == b.parent_indices.tolist()
+        assert a.tolist() == b.tolist()
         assert len(a) == 1
 
     def test_coverage_bound(self):
@@ -204,15 +204,15 @@ class TestFarthestPointSample:
         rng = np.random.default_rng(14)
         candidates = rng.random((1000, 2))
         sel = farthest_point_sample(candidates, 25, seed=15)
-        assert fill_distance(candidates, sel.points) <= 2.0 * 25 ** -0.5
+        assert fill_distance(candidates, candidates[sel]) <= 2.0 * 25 ** -0.5
 
     def test_beats_random_coverage(self):
         rng = np.random.default_rng(16)
         candidates = rng.random((500, 2))
         greedy = farthest_point_sample(candidates, 20, seed=17)
         random = random_subsample(candidates, 20, seed=17)
-        assert (fill_distance(candidates, greedy.points)
-                <= fill_distance(candidates, random.points))
+        assert (fill_distance(candidates, candidates[greedy])
+                <= fill_distance(candidates, candidates[random]))
 
 
 class TestRandomSubsample:
@@ -220,14 +220,14 @@ class TestRandomSubsample:
         rng = np.random.default_rng(18)
         pts = rng.random((9, 2))
         sel = random_subsample(pts, 9, seed=1)
-        assert sorted(sel.parent_indices.tolist()) == list(range(9))
+        assert sorted(sel.tolist()) == list(range(9))
 
     def test_deterministic(self):
         rng = np.random.default_rng(19)
         pts = rng.random((40, 3))
         a = random_subsample(pts, 5, seed=123)
         b = random_subsample(pts, 5, seed=123)
-        assert_allclose(a.points, b.points, rtol=0, atol=0)
+        assert a.tolist() == b.tolist()
 
     def test_golden_indices(self):
         # Frozen from the reference draw: one no-replacement choice of 3
@@ -235,7 +235,7 @@ class TestRandomSubsample:
         rng = np.random.default_rng(20)
         pts = rng.random((10, 3))
         sel = random_subsample(pts, 3, seed=7)
-        assert sel.parent_indices.tolist() == [7, 5, 6]
+        assert sel.tolist() == [7, 5, 6]
 
     def test_too_many_requested(self):
         rng = np.random.default_rng(21)
