@@ -21,6 +21,7 @@ from sievesim import (
     inducing_count_schedule,
     make_test_function,
     random_subsample,
+    rkhs_norm_sq,
     simulate_inner,
     simulate_outer,
     true_theta,
@@ -32,8 +33,8 @@ def main():
     surface = make_test_function(kernel, n_centers=1000, seed=7)
     functional = FunctionalSpec.expectation("square")
     oracle = true_theta(surface, functional, eval_points=500_000, seed=8)
-    print(f"surface: {kernel.family} mixture in d={kernel.dim}, "
-          f"norm^2 = {surface.norm_sq:.5f}")
+    norm_sq = rkhs_norm_sq(kernel, surface.coefficients, surface.centers)
+    print(f"surface: {kernel.family} mixture in d={kernel.dim}, norm^2 = {norm_sq:.5f}")
     print(f"reference second moment: {oracle.value:.6f}\n")
 
     n = 2000

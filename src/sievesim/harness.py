@@ -411,10 +411,19 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     def value(key, parse, accepts=""):
         return None if key not in exp else _parse("experiment", key, exp[key], parse, accepts)
 
+    # A key that the config's mode never reads is an error, not a silent no-op.
+    kind = exp.get("functional", "nested_expectation")
+    sized, budgeted = "sizes" in exp, "budgets" in exp
+    unread = (("eta", kind == "var", f"functional = {kind}"),
+              ("tau", kind == "nested_expectation", f"functional = {kind}"),
+              ("m", budgeted and not sized, "budgets; the allocation sets m"),
+              ("allocation", sized and not budgeted, "sizes"))
+    for key, ignored, mode in unread:
+        if ignored and key in exp:
+            raise ConfigError(f"experiment key {key!r} is not read with {mode}")
+
     try:
-        kind = exp.get("functional", "nested_expectation")
-        functional = FunctionalSpec(kind, eta=exp.get("eta", "square"),
-                                    tau=value("tau", float) if kind == "var" else None)
+        functional = FunctionalSpec(kind, eta=exp.get("eta", "square"), tau=value("tau", float))
 
         family = exp.get("kernel", "laplace")
         d = value("d", int)

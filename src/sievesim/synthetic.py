@@ -1,12 +1,14 @@
 """Synthetic ground truth and the two-level simulation of noisy observations.
 
-The standard test function is a seeded kernel mixture
+The test function is a seeded kernel mixture
 
     f(x) = (1/N) * sum_i c_i k(x, U_i),
 
 with ``c_i`` standard normal and ``U_i`` uniform on the unit cube, frozen at
-construction.  Its squared RKHS norm is available in closed form.  Constant
-and linear overrides are provided for exact-answer checks.
+construction.  It is the only form of surface: one path evaluates it, and
+one simulates noisy observations of it.  Its squared RKHS norm has a closed
+form (:func:`~sievesim.kernels.rkhs_norm_sq`); it is computed when the
+surface is saved, not when it is built.
 
 Simulation is two-level: outer scenarios are uniform on ``[0,1]^d``; each
 scenario gets ``m`` noisy inner samples ``f(x_i) + eps`` whose average is
@@ -16,7 +18,6 @@ retained (raw inner samples are discarded).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,36 +31,34 @@ _INNER_CHUNK_BUDGET = 50_000_000
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Ground-truth surface with exact evaluation.
+    """A frozen kernel mixture with exact evaluation.
 
-    Either a frozen kernel mixture (``kernel``, ``centers``, ``coefficients``
-    set, ``override`` None) or a direct functional form (``override`` set).
+    ``norm_sq`` is the squared RKHS norm recorded in a loaded file, or None
+    on a built surface; :func:`save_test_function` computes it then.
     """
 
-    dim: int
-    kernel: KernelSpec | None = None
-    centers: np.ndarray | None = None
-    coefficients: np.ndarray | None = None
+    kernel: KernelSpec
+    centers: np.ndarray
+    coefficients: np.ndarray
     seed: int | None = None
     norm_sq: float | None = None
-    override: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = "kernel_mixture"
 
     def __post_init__(self):
-        if self.override is None:
-            if self.kernel is None or self.centers is None or self.coefficients is None:
-                raise ValueError("kernel mixture needs kernel, centers, and coefficients")
-            ctr = np.asarray(self.centers, dtype=float)
-            coef = np.asarray(self.coefficients, dtype=float).reshape(-1)
-            if ctr.shape != (coef.size, self.dim):
-                raise ValueError(
-                    f"centers shape {ctr.shape} incompatible with "
-                    f"{coef.size} coefficients in dimension {self.dim}"
-                )
-            ctr.setflags(write=False)
-            coef.setflags(write=False)
-            object.__setattr__(self, "centers", ctr)
-            object.__setattr__(self, "coefficients", coef)
+        ctr = np.asarray(self.centers, dtype=float)
+        coef = np.asarray(self.coefficients, dtype=float).reshape(-1)
+        if ctr.shape != (coef.size, self.dim):
+            raise ValueError(
+                f"centers shape {ctr.shape} incompatible with "
+                f"{coef.size} coefficients in dimension {self.dim}"
+            )
+        ctr.setflags(write=False)
+        coef.setflags(write=False)
+        object.__setattr__(self, "centers", ctr)
+        object.__setattr__(self, "coefficients", coef)
+
+    @property
+    def dim(self) -> int:
+        return self.kernel.dim
 
     def __call__(self, x) -> np.ndarray:
         return eval_f(self, x)
@@ -107,52 +106,23 @@ def make_test_function(kernel: KernelSpec, n_centers: int = 1000, seed=0) -> Tes
 
     Centers are drawn first (uniform rows), then coefficients (standard
     normal), from a single generator, so the surface is reproducible from
-    ``seed`` alone.  The squared RKHS norm is computed once and cached.
+    ``seed`` alone.  Its ``norm_sq`` is left None.
     """
     if n_centers < 1:
         raise ValueError(f"n_centers must be >= 1, got {n_centers}")
     rng = np.random.default_rng(seed)
     centers = rng.random((n_centers, kernel.dim))
     coefficients = rng.standard_normal(n_centers)
-    norm = rkhs_norm_sq(kernel, coefficients, centers)
-    return TestFunction(
-        dim=kernel.dim,
-        kernel=kernel,
-        centers=centers,
-        coefficients=coefficients,
-        seed=seed if isinstance(seed, int) else None,
-        norm_sq=norm,
-    )
-
-
-def constant_test_function(value: float, dim: int) -> TestFunction:
-    """Surface identically equal to ``value``; handy for exact checks."""
-    return TestFunction(
-        dim=dim,
-        override=lambda pts: np.full(pts.shape[0], float(value)),
-        label=f"constant({value})",
-    )
-
-
-def linear_test_function(weights, dim: int, intercept: float = 0.0) -> TestFunction:
-    """Surface ``f(x) = w . x + intercept``."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.size != dim:
-        raise ValueError(f"{w.size} weights for dimension {dim}")
-    return TestFunction(
-        dim=dim,
-        override=lambda pts: pts @ w + intercept,
-        label="linear",
-    )
+    return TestFunction(kernel, centers, coefficients,
+                        seed=seed if isinstance(seed, int) else None)
 
 
 def eval_f(f: TestFunction, x) -> np.ndarray:
-    """Evaluate the surface at rows of ``x``; chunked so large grids fit in memory."""
+    """Evaluate the surface at rows of ``x``; chunked so large grids fit in memory.
+
+    Points of the wrong dimension raise ``ValueError`` (from ``kernel_matrix``).
+    """
     pts = as_points(x)
-    if pts.shape[1] != f.dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, surface expects {f.dim}")
-    if f.override is not None:
-        return np.asarray(f.override(pts), dtype=float).reshape(pts.shape[0])
     out = np.empty(pts.shape[0])
     scale = 1.0 / f.coefficients.size
     for start in range(0, pts.shape[0], _EVAL_CHUNK):
@@ -174,7 +144,8 @@ def simulate_inner(f: TestFunction, scenarios, m: int, sigma: float, seed=0) -> 
     """Average ``m`` noisy inner samples per scenario.
 
     Observations are ``f(x_i) + eps`` with ``eps ~ Normal(0, sigma^2)``
-    i.i.d.; only the per-scenario average is kept.
+    i.i.d.; only the per-scenario average is kept.  With ``sigma = 0`` the
+    noise term is a signed zero, so ``ybar`` equals the surface bit for bit.
     """
     pts = as_points(scenarios)
     if m < 1:
@@ -184,15 +155,12 @@ def simulate_inner(f: TestFunction, scenarios, m: int, sigma: float, seed=0) -> 
     rng = np.random.default_rng(seed)
     values = eval_f(f, pts)
     n = pts.shape[0]
-    if sigma == 0.0:
-        ybar = values.copy()
-    else:
-        ybar = np.empty(n)
-        rows = max(1, _INNER_CHUNK_BUDGET // m)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            noise = rng.standard_normal((stop - start, m))
-            ybar[start:stop] = values[start:stop] + sigma * noise.mean(axis=1)
+    ybar = np.empty(n)
+    rows = max(1, _INNER_CHUNK_BUDGET // m)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        noise = rng.standard_normal((stop - start, m))
+        ybar[start:stop] = values[start:stop] + sigma * noise.mean(axis=1)
     return NestedDataset(
         scenarios=pts,
         ybar=ybar,
@@ -229,11 +197,16 @@ def true_theta(
 # ---------------------------------------------------------------------------
 
 def save_test_function(f: TestFunction, path) -> None:
-    """Write a kernel-mixture surface as columnar text (centers then coefficient)."""
-    if f.override is not None:
-        raise ValueError(f"only kernel mixtures serialize; got {f.label!r}")
+    """Write a surface as columnar text (centers then coefficient).
+
+    The header's ``norm_sq`` is the recorded value when there is one, so a
+    loaded file re-saves byte for byte, and otherwise is computed here.
+    """
+    norm_sq = f.norm_sq
+    if norm_sq is None:
+        norm_sq = rkhs_norm_sq(f.kernel, f.coefficients, f.centers)
     fields = {**kernel_fields(f.kernel), "n_centers": f.coefficients.size,
-              "seed": f.seed, "norm_sq": f.norm_sq}
+              "seed": f.seed, "norm_sq": norm_sq}
     write_table(path, "test function", fields, "center_1..center_d coefficient",
                 np.column_stack((f.centers, f.coefficients)))
 
@@ -245,7 +218,6 @@ def load_test_function(path) -> TestFunction:
     if data.shape != (n, kernel.dim + 1):
         raise ValueError(f"expected {n} rows of {kernel.dim + 1} columns, got {data.shape}")
     return TestFunction(
-        dim=kernel.dim,
         kernel=kernel,
         centers=data[:, :-1],
         coefficients=data[:, -1],

@@ -102,10 +102,15 @@ VAR = BASE + "functional = var\ntau = 0.95\n"
     (VAR + "alpha = 0.5\ngamma = 0.5\n[estimator krr]\n", {}, "gamma"),
     (BASE + "sigma = 5%\n[estimator krr]\n", {}, "sigma"),
     (BASE + "[estimator krr]\nlambda = 1%\n", {}, "lambda"),
+    (VAR + "eta = bogus\n[estimator krr]\n", {}, "eta"),
+    (BASE + "functional = nested_expectation\ntau = abc\n[estimator krr]\n", {}, "tau"),
+    (BASE.replace("sizes = 20 40", "budgets = 1000\nm = 2") + "[estimator krr]\n", {}, "'m'"),
+    (BASE + "allocation = smooth\n[estimator krr]\n", {}, "allocation"),
 ], ids=["selection", "epochs", "lambda", "sigma", "budgets", "inducing_n1", "duplicate_name",
         "threads_abc", "threads_zero", "threads_negative", "smoothness_negative",
         "name_with_comma", "sigma_inf", "alpha", "beta", "gamma", "sigma_percent",
-        "lambda_percent"])
+        "lambda_percent", "eta_with_var", "tau_with_expectation", "m_with_budgets",
+        "allocation_with_sizes"])
 def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from sievesim import synthetic
 from sievesim.functionals import FunctionalSpec
-from sievesim.kernels import KernelSpec, eval_kernel
+from sievesim.kernels import KernelSpec, eval_kernel, rkhs_norm_sq
 from sievesim.synthetic import (
-    constant_test_function,
-    linear_test_function,
     load_dataset,
     load_test_function,
     make_test_function,
@@ -59,7 +58,12 @@ class TestMakeTestFunction:
     def test_norm_sq_positive(self):
         spec = KernelSpec.matern(2, nu=1.5)
         f = make_test_function(spec, n_centers=30, seed=7)
-        assert f.norm_sq > 0.0
+        assert f.norm_sq is None
+        assert rkhs_norm_sq(spec, f.coefficients, f.centers) > 0.0
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            synthetic.TestFunction(KernelSpec.laplace(2), np.zeros((3, 2)), np.ones(4))
 
 
 class TestEvaluation:
@@ -68,8 +72,7 @@ class TestEvaluation:
 
         spec = KernelSpec.gaussian(2)
         f = make_test_function(spec, n_centers=10, seed=8)
-        doubled = dataclasses.replace(
-            f, coefficients=2.0 * f.coefficients, norm_sq=4.0 * f.norm_sq)
+        doubled = dataclasses.replace(f, coefficients=2.0 * f.coefficients)
         rng = np.random.default_rng(9)
         x = rng.random((6, 2))
         assert_allclose(doubled(x), 2.0 * f(x), rtol=1e-14)
@@ -93,15 +96,10 @@ class TestEvaluation:
         assert_allclose(out[:100], f(x[:100]), rtol=0, atol=0)
         assert_allclose(out[-100:], f(x[-100:]), rtol=0, atol=0)
 
-    def test_constant_function(self):
-        f = constant_test_function(3.5, dim=6)
-        rng = np.random.default_rng(14)
-        assert_allclose(f(rng.random((5, 6))), np.full(5, 3.5), rtol=0)
-
-    def test_linear_function(self):
-        f = linear_test_function([2.0, -1.0], dim=2, intercept=0.25)
-        x = np.array([[0.5, 0.5], [1.0, 0.0]])
-        assert_allclose(f(x), [0.75, 2.25], rtol=1e-15)
+    def test_wrong_dimension_raises(self):
+        f = make_test_function(KernelSpec.gaussian(3), n_centers=4, seed=14)
+        with pytest.raises(ValueError, match="dimension 2"):
+            f(np.zeros((5, 2)))
 
 
 class TestSimulateOuter:
@@ -154,18 +152,22 @@ class TestSimulateInner:
 
 
 class TestTrueTheta:
-    def test_constant_function_square(self):
-        f = constant_test_function(3.0, dim=4)
+    def test_square_is_mean_of_squares(self):
+        # The reference draws its points from the seed as one block.
+        f = synthetic.TestFunction(KernelSpec.gaussian(4), np.full((1, 4), 0.5), [3.0])
         oracle = true_theta(f, FunctionalSpec.expectation("square"),
                             eval_points=1000, seed=30)
-        assert_allclose(oracle.value, 9.0, rtol=1e-14)
+        pts = np.random.default_rng(30).random((1000, 4))
+        assert oracle.value == np.mean(f(pts) ** 2)
 
     def test_median_of_uniform(self):
-        f = linear_test_function([1.0], dim=1)
+        # One Laplace center at 0 in d = 1: f(x) = exp(-x), decreasing, so the
+        # median of f(U) is exp(-1/2).
+        f = synthetic.TestFunction(KernelSpec.laplace(1), [[0.0]], [1.0])
         eval_points = 40_000
         oracle = true_theta(f, FunctionalSpec.value_at_risk(0.5),
                             eval_points=eval_points, seed=31)
-        assert abs(oracle.value - 0.5) <= 2.0 / math.sqrt(eval_points)
+        assert abs(oracle.value - math.exp(-0.5)) <= 2.0 / math.sqrt(eval_points)
 
     def test_two_resolutions_agree(self):
         """10^6-point and 10^4-point references agree within MC error.
@@ -197,6 +199,18 @@ class TestSerialization:
         rng = np.random.default_rng(36)
         x = rng.random((4, 3))
         assert_allclose(g(x), f(x), rtol=0, atol=0)
+
+    def test_built_surface_resaves_byte_identically(self, tmp_path):
+        # A built surface has no recorded norm; saving computes it, and a
+        # loaded file keeps the recorded one.
+        spec = KernelSpec.laplace(2)
+        f = make_test_function(spec, n_centers=9, seed=37)
+        path, again = tmp_path / "fn.txt", tmp_path / "again.txt"
+        save_test_function(f, path)
+        g = load_test_function(path)
+        save_test_function(g, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert g.norm_sq == rkhs_norm_sq(spec, f.coefficients, f.centers)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 40), d=st.integers(1, 4), m=st.integers(1, 6),
