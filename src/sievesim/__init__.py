@@ -6,154 +6,17 @@ fast plug-in estimates of a functional of the regression surface converge as
 the simulation budget grows.
 """
 
-from .estimators import (
-    DEFAULT_JITTER,
-    FitError,
-    InducingKRREstimator,
-    KernelExpansion,
-    KRREstimator,
-    ReluArchitecture,
-    ReluSieveEstimator,
-    SampleAverageEstimator,
-    TrainConfig,
-    TrainingDiverged,
-    cross_validate_regularization,
-    default_regularization,
-    default_relu_architecture,
-    fit_krr,
-    fit_krr_inducing,
-    fit_relu_sieve,
-    fit_sample_average,
-    load_estimator,
-    relu_architecture_from_rate,
-    save_estimator,
-)
-from .functionals import (
-    FunctionalSpec,
-    estimate_theta,
-    evaluate_functional,
-    nested_expectation,
-    resolve_eta,
-    var_estimate,
-)
-from .harness import (
-    CellStats,
-    ConfigError,
-    EstimatorSetting,
-    ExperimentConfig,
-    ExperimentResult,
-    SlopeFit,
-    emit_results,
-    fit_loglog_slope,
-    parse_config,
-    parse_results_csv,
-    run_experiment,
-    slopes_from_cells,
-)
-from .kernels import (
-    KernelSpec,
-    eval_kernel,
-    farthest_point_sample,
-    fill_distance,
-    gram,
-    kernel_matrix,
-    random_subsample,
-    rkhs_norm_sq,
-)
-from .network import ReluNetwork
-from .rates import (
-    BudgetAllocation,
-    NestedRatePrediction,
-    RatePrediction,
-    allocate,
-    inducing_count_schedule,
-    predict_gaussian_rkhs_rate,
-    predict_relu_rate,
-    predict_sobolev_rate,
-    predict_var_rate,
-)
-from .synthetic import (
-    NestedDataset,
-    TestFunction,
-    ThetaOracle,
-    load_dataset,
-    load_test_function,
-    make_test_function,
-    save_dataset,
-    save_test_function,
-    simulate_inner,
-    simulate_outer,
-    true_theta,
-)
+# Each module lists its public names in its own __all__; the package exports them all.
+from . import estimators, functionals, harness, kernels, network, rates, synthetic
+from .estimators import *
+from .functionals import *
+from .harness import *
+from .kernels import *
+from .network import *
+from .rates import *
+from .synthetic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_JITTER",
-    "BudgetAllocation",
-    "CellStats",
-    "ConfigError",
-    "EstimatorSetting",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FitError",
-    "FunctionalSpec",
-    "InducingKRREstimator",
-    "KRREstimator",
-    "KernelExpansion",
-    "KernelSpec",
-    "NestedDataset",
-    "NestedRatePrediction",
-    "RatePrediction",
-    "ReluArchitecture",
-    "ReluNetwork",
-    "ReluSieveEstimator",
-    "SampleAverageEstimator",
-    "SlopeFit",
-    "TestFunction",
-    "ThetaOracle",
-    "TrainConfig",
-    "TrainingDiverged",
-    "allocate",
-    "cross_validate_regularization",
-    "default_regularization",
-    "default_relu_architecture",
-    "emit_results",
-    "estimate_theta",
-    "eval_kernel",
-    "evaluate_functional",
-    "farthest_point_sample",
-    "fill_distance",
-    "fit_krr",
-    "fit_krr_inducing",
-    "fit_loglog_slope",
-    "fit_relu_sieve",
-    "fit_sample_average",
-    "gram",
-    "inducing_count_schedule",
-    "kernel_matrix",
-    "load_dataset",
-    "load_estimator",
-    "load_test_function",
-    "make_test_function",
-    "nested_expectation",
-    "parse_config",
-    "parse_results_csv",
-    "predict_gaussian_rkhs_rate",
-    "predict_relu_rate",
-    "predict_sobolev_rate",
-    "predict_var_rate",
-    "random_subsample",
-    "relu_architecture_from_rate",
-    "resolve_eta",
-    "rkhs_norm_sq",
-    "run_experiment",
-    "save_dataset",
-    "save_estimator",
-    "save_test_function",
-    "simulate_inner",
-    "simulate_outer",
-    "slopes_from_cells",
-    "true_theta",
-    "var_estimate",
-]
+__all__ = [*estimators.__all__, *functionals.__all__, *harness.__all__, *kernels.__all__,
+           *network.__all__, *rates.__all__, *synthetic.__all__]

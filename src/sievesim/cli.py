@@ -104,8 +104,8 @@ def _predicted_rate(config: ExperimentConfig, kind: str):
     base = ESTIMATOR_KINDS[kind].rate(s, config.kernel.dim)
     if base is None:
         return None
-    if config.functional.kind == "var" and config.var_alpha is not None:
-        return predict_var_rate(base, config.var_alpha, config.var_beta, config.var_gamma)
+    if config.alpha is not None:  # alpha is only read with functional = var
+        return predict_var_rate(base, config.alpha, config.beta, config.gamma)
     return base
 
 

@@ -29,6 +29,14 @@ from .network import ReluNetwork
 from .synthetic import NestedDataset
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 
+__all__ = [
+    "FitError", "InducingKRREstimator", "KernelExpansion", "KRREstimator", "ReluArchitecture",
+    "ReluSieveEstimator", "SampleAverageEstimator", "TrainConfig", "TrainingDiverged",
+    "cross_validate_regularization", "default_regularization", "default_relu_architecture",
+    "fit_krr", "fit_krr_inducing", "fit_relu_sieve", "fit_sample_average", "load_estimator",
+    "relu_architecture_from_rate", "save_estimator",
+]
+
 
 class FitError(RuntimeError):
     """An estimator fit failed; the message carries diagnostics."""

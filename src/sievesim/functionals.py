@@ -15,6 +15,11 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = [
+    "FunctionalSpec", "estimate_theta", "evaluate_functional", "nested_expectation", "resolve_eta",
+    "var_estimate",
+]
+
 # Hard saturation keeps exp from overflowing while leaving the typical range
 # of fitted values untouched.
 _EXP_CLIP = 50.0

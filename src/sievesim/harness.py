@@ -51,6 +51,12 @@ from .rates import (
 )
 from .synthetic import ThetaOracle, make_test_function, simulate_inner, simulate_outer, true_theta
 
+__all__ = [
+    "CellStats", "ConfigError", "EstimatorSetting", "ExperimentConfig", "ExperimentResult",
+    "SlopeFit", "emit_results", "fit_loglog_slope", "parse_config", "parse_results_csv",
+    "run_experiment", "slopes_from_cells",
+]
+
 _TESTFN_TAG = 0
 _THETA_TAG = 1
 _DATA_TAG = 2
@@ -71,6 +77,11 @@ class EstimatorSetting:
     kind: str
     options: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if "," in self.name:
+            raise ConfigError(f"estimator name {self.name!r} contains ',', "
+                              f"which the results CSV cannot hold")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -89,32 +100,38 @@ class ExperimentConfig:
     record_timing: bool = True
     evaluation: str = "train"
     smoothness: float | None = None
-    var_alpha: float | None = None
-    var_beta: float = 1.0
-    var_gamma: float = 1.0
+    alpha: float | None = None
+    beta: float = 1.0
+    gamma: float = 1.0
 
     def __post_init__(self):
         if (self.sizes is None) == (self.budgets is None):
             raise ConfigError("exactly one of sizes/budgets must be set")
         if not self.estimators:
             raise ConfigError("at least one estimator is required")
+        modes = self.modes()
         for key, entry in EXPERIMENT_FIELDS.items():
-            value = getattr(self, entry.field)
+            value = getattr(self, key)
             if value is not None and not entry.ok(value):
                 raise ConfigError(f"{key} must be {entry.accepts}, got {value!r}")
+            if entry.mode not in modes and value != self.__dataclass_fields__[key].default:
+                raise _unread(key, entry.mode)
         names = [e.name for e in self.estimators]
         if len(set(names)) < len(names):
             raise ConfigError(f"duplicate estimator names in {names}")
-        try:
-            cells = self.cells()
-        except ValueError as exc:  # allocate() rejects the budget or the scheme
-            raise ConfigError(f"budgets: {exc}") from None
+        cells = self.cells()
         for setting in self.estimators:
             need = ESTIMATOR_KINDS[setting.kind].min_n
             if any(n < need for n, _ in cells):
                 raise ConfigError(f"{'sizes' if self.sizes is not None else 'budgets'}: "
                                   f"estimator {setting.name!r} ({setting.kind}) needs n >= {need} "
                                   f"at every size, got {[n for n, _ in cells]}")
+
+    def modes(self) -> set[str]:
+        """The modes whose keys this config reads: ``""`` (every config), ``sizes`` or
+        ``budgets``, the functional's kind, and ``alpha`` once alpha is set."""
+        return {"", "sizes" if self.sizes is not None else "budgets", self.functional.kind,
+                *(("alpha",) if self.alpha is not None else ())}
 
     def cells(self) -> list[tuple[int, int]]:
         """Resolved (n, m) pairs in sweep order."""
@@ -351,39 +368,50 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
 # ---------------------------------------------------------------------------
 
 class ExperimentKey(NamedTuple):
-    """An ``[experiment]`` key: its :class:`ExperimentConfig` field, accepted values,
-    reader, and range rule (applied when parsed and by ``__post_init__``)."""
+    """An ``[experiment]`` key, named as its :class:`ExperimentConfig` field: its
+    accepted values, reader, range rule (applied when parsed and by ``__post_init__``)
+    and the mode that reads it (one of :meth:`ExperimentConfig.modes`)."""
 
-    field: str
     accepts: str
     cast: Callable[[str], object]
     ok: Callable[[object], bool] = lambda value: True
+    mode: str = ""
 
 
-# Every [experiment] key but the six spec keys; an omitted key keeps its field default.
+def _probability(value) -> bool:
+    return 0.0 < value <= 1.0
+
+
+# Every [experiment] key but the spec keys; an omitted key keeps its field default.
 EXPERIMENT_FIELDS: dict[str, ExperimentKey] = {
-    "sizes": ExperimentKey("sizes", "integers >= 1, separated by spaces or commas", _counts),
-    "m": ExperimentKey("m", "an integer >= 1", int, _at_least_1),
-    "budgets": ExperimentKey("budgets", "integers >= 8, separated by spaces or commas", _counts),
-    "allocation": ExperimentKey("allocation", "standard or smooth", str),
-    "centers": ExperimentKey("centers", "an integer >= 1", int, _at_least_1),
-    "sigma": ExperimentKey("sigma", "a finite number >= 0", float, _finite_nonnegative),
-    "replications": ExperimentKey("replications", "an integer >= 1", int, _at_least_1),
-    "master_seed": ExperimentKey("master_seed", "an integer >= 0", int, lambda v: v >= 0),
-    "theta_eval_points": ExperimentKey("theta_eval_points", "an integer >= 1", int, _at_least_1),
+    "sizes": ExperimentKey("integers >= 1, separated by spaces or commas", _counts),
+    "m": ExperimentKey("an integer >= 1", int, _at_least_1, "sizes"),
+    "budgets": ExperimentKey("integers >= 8, separated by spaces or commas", _counts,
+                             lambda v: all(b >= 8 for b in v)),
+    "allocation": ExperimentKey("standard or smooth", str,
+                                lambda v: v in ("standard", "smooth"), "budgets"),
+    "centers": ExperimentKey("an integer >= 1", int, _at_least_1),
+    "sigma": ExperimentKey("a finite number >= 0", float, _finite_nonnegative),
+    "replications": ExperimentKey("an integer >= 1", int, _at_least_1),
+    "master_seed": ExperimentKey("an integer >= 0", int, lambda v: v >= 0),
+    "theta_eval_points": ExperimentKey("an integer >= 1", int, _at_least_1),
     "record_timing": ExperimentKey(
-        "record_timing", "true, false, yes, no, on, off, 1 or 0",
+        "true, false, yes, no, on, off, 1 or 0",
         lambda raw: _keywords(configparser.ConfigParser.BOOLEAN_STATES)(raw.lower())),
-    "evaluation": ExperimentKey("evaluation", "train or fresh", str,
-                                lambda v: v in ("train", "fresh")),
-    "smoothness": ExperimentKey("smoothness", "a finite number > 0", float,
-                                lambda v: 0.0 < v < math.inf),
-    "alpha": ExperimentKey("var_alpha", "a number in (0, 1]", float, lambda v: 0.0 < v <= 1.0),
-    "beta": ExperimentKey("var_beta", "a number in (0, 1]", float, lambda v: 0.0 < v <= 1.0),
-    "gamma": ExperimentKey("var_gamma", "a finite number >= 1", float,
-                           lambda v: 1.0 <= v < math.inf),
+    "evaluation": ExperimentKey("train or fresh", str, lambda v: v in ("train", "fresh")),
+    "smoothness": ExperimentKey("a finite number > 0", float, lambda v: 0.0 < v < math.inf),
+    "alpha": ExperimentKey("a number in (0, 1]", float, _probability, "var"),
+    "beta": ExperimentKey("a number in (0, 1]", float, _probability, "alpha"),
+    "gamma": ExperimentKey("a finite number >= 1", float, lambda v: 1.0 <= v < math.inf,
+                           "alpha"),
 }
-_EXPERIMENT_KEYS = {"functional", "eta", "tau", "kernel", "nu", "d", *EXPERIMENT_FIELDS}
+# The spec keys, read into the FunctionalSpec and KernelSpec, and the mode that reads each.
+SPEC_KEY_MODES = {"functional": "", "eta": "nested_expectation", "tau": "var",
+                  "kernel": "", "nu": "", "d": ""}
+
+
+def _unread(key: str, mode: str) -> ConfigError:
+    return ConfigError(f"experiment key {key!r} is only read with {mode}")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -404,29 +432,19 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     exp = parser["experiment"]
-    unknown = set(exp) - _EXPERIMENT_KEYS
+    unknown = set(exp) - set(SPEC_KEY_MODES) - set(EXPERIMENT_FIELDS)
     if unknown:
         raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
 
     def value(key, parse, accepts=""):
         return None if key not in exp else _parse("experiment", key, exp[key], parse, accepts)
 
-    # A key that the config's mode never reads is an error, not a silent no-op.
-    kind = exp.get("functional", "nested_expectation")
-    sized, budgeted = "sizes" in exp, "budgets" in exp
-    unread = (("eta", kind == "var", f"functional = {kind}"),
-              ("tau", kind == "nested_expectation", f"functional = {kind}"),
-              ("m", budgeted and not sized, "budgets; the allocation sets m"),
-              ("allocation", sized and not budgeted, "sizes"))
-    for key, ignored, mode in unread:
-        if ignored and key in exp:
-            raise ConfigError(f"experiment key {key!r} is not read with {mode}")
-
     try:
-        functional = FunctionalSpec(kind, eta=exp.get("eta", "square"), tau=value("tau", float))
+        functional = FunctionalSpec(exp.get("functional", "nested_expectation"),
+                                    eta=exp.get("eta", "square"), tau=value("tau", float))
 
         family = exp.get("kernel", "laplace")
-        d = value("d", int)
+        d = value("d", _count, "an integer >= 1")
         if d is None:
             raise ConfigError("experiment key 'd' is required")
         kernel = KernelSpec(family, d, nu=value("nu", float))
@@ -438,9 +456,6 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             if not section.startswith("estimator"):
                 raise ConfigError(f"unexpected section [{section}]")
             name = section[len("estimator"):].strip() or "estimator"
-            if "," in name:
-                raise ConfigError(f"section [{section}]: estimator name {name!r} "
-                                  f"contains ',', which the results CSV cannot hold")
             body = parser[section]
             est_kind = body.get("kind", name)
             if est_kind not in ESTIMATOR_KINDS:
@@ -451,14 +466,21 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             options = ESTIMATOR_KINDS[est_kind].parse_options(section, body)
             settings.append(EstimatorSetting(name=name, kind=est_kind, options=options))
 
-        fields = {entry.field: value(key, _checked(entry.cast, entry.ok), entry.accepts)
+        fields = {key: value(key, _checked(entry.cast, entry.ok), entry.accepts)
                   for key, entry in EXPERIMENT_FIELDS.items() if key in exp}
-        return ExperimentConfig(functional=functional, kernel=kernel,
-                                estimators=tuple(settings), **fields)
+        config = ExperimentConfig(functional=functional, kernel=kernel,
+                                  estimators=tuple(settings), **fields)
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    # A key that the config's mode never reads is an error even at its default.
+    modes = config.modes()
+    for key in exp:
+        mode = SPEC_KEY_MODES[key] if key in SPEC_KEY_MODES else EXPERIMENT_FIELDS[key].mode
+        if mode not in modes:
+            raise _unread(key, mode)
+    return config
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+__all__ = [
+    "DEFAULT_JITTER", "KernelSpec", "eval_kernel", "farthest_point_sample", "fill_distance",
+    "gram", "kernel_matrix", "random_subsample", "rkhs_norm_sq",
+]
+
 
 DEFAULT_JITTER = 1e-10
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["ReluNetwork"]
+
 
 def _layer_views(vector: np.ndarray, dims: list[int]):
     """Per-layer weight and bias views into a flat vector laid out W1, b1, W2, b2, ..."""

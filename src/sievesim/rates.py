@@ -12,6 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = [
+    "BudgetAllocation", "NestedRatePrediction", "RatePrediction", "allocate",
+    "inducing_count_schedule", "predict_gaussian_rkhs_rate", "predict_relu_rate",
+    "predict_sobolev_rate", "predict_var_rate",
+]
+
 _SCHEDULE_SLACK = 1e-9  # guards ceil against float products overshooting integers
 
 
@@ -160,10 +166,8 @@ def predict_var_rate(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if beta > gamma:
-        raise ValueError(f"beta must not exceed gamma, got beta={beta}, gamma={gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be a finite number >= 1, got {gamma}")
     kappa = alpha * beta / gamma
     converted = kappa * base.exponent
     order_stat = -1.0 / (2.0 * gamma)

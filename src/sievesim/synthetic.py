@@ -25,6 +25,12 @@ from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 from .functionals import FunctionalSpec, evaluate_functional
 from .kernels import KernelSpec, as_points, kernel_matrix, rkhs_norm_sq
 
+__all__ = [
+    "NestedDataset", "TestFunction", "ThetaOracle", "load_dataset", "load_test_function",
+    "make_test_function", "save_dataset", "save_test_function", "simulate_inner", "simulate_outer",
+    "true_theta",
+]
+
 _EVAL_CHUNK = 10_000
 _INNER_CHUNK_BUDGET = 50_000_000
 

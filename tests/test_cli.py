@@ -106,11 +106,14 @@ VAR = BASE + "functional = var\ntau = 0.95\n"
     (BASE + "functional = nested_expectation\ntau = abc\n[estimator krr]\n", {}, "tau"),
     (BASE.replace("sizes = 20 40", "budgets = 1000\nm = 2") + "[estimator krr]\n", {}, "'m'"),
     (BASE + "allocation = smooth\n[estimator krr]\n", {}, "allocation"),
+    (BASE + "alpha = 0.5\n[estimator krr]\n", {}, "'alpha'"),
+    (VAR + "beta = 0.5\n[estimator krr]\n", {}, "'beta'"),
+    (BASE.replace("d = 2", "d = 0") + "[estimator krr]\n", {}, "d = '0'"),
 ], ids=["selection", "epochs", "lambda", "sigma", "budgets", "inducing_n1", "duplicate_name",
         "threads_abc", "threads_zero", "threads_negative", "smoothness_negative",
         "name_with_comma", "sigma_inf", "alpha", "beta", "gamma", "sigma_percent",
         "lambda_percent", "eta_with_var", "tau_with_expectation", "m_with_budgets",
-        "allocation_with_sizes"])
+        "allocation_with_sizes", "alpha_with_expectation", "beta_without_alpha", "d_zero"])
 def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -127,7 +130,9 @@ def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monk
     (VAR + "alpha = 5\n[estimator krr]\n", "alpha"),
     (VAR + "alpha = 0.5\nbeta = 2\n[estimator krr]\n", "beta"),
     (VAR + "alpha = 0.5\ngamma = 0.5\n[estimator krr]\n", "gamma"),
-], ids=["sigma_inf", "alpha", "beta", "gamma"])
+    (BASE + "alpha = 0.5\n[estimator krr]\n", "'alpha'"),
+    (VAR + "beta = 0.5\n[estimator krr]\n", "'beta'"),
+], ids=["sigma_inf", "alpha", "beta", "gamma", "alpha_with_expectation", "beta_without_alpha"])
 def test_rates_rejects_bad_experiment_values_before_printing(body, key, tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(body)

@@ -18,6 +18,7 @@ from sievesim.harness import (
     EXPERIMENT_FIELDS,
     CellStats,
     ConfigError,
+    EstimatorSetting,
     ExperimentConfig,
     ExperimentResult,
     _worker_count,
@@ -170,10 +171,10 @@ class TestParseConfig:
 
     def test_readme_lists_every_experiment_key_with_its_field_default(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
-        for key in harness._EXPERIMENT_KEYS:
+        for key in [*harness.SPEC_KEY_MODES, *EXPERIMENT_FIELDS]:
             assert any(line.startswith(f"| `{key}` | ") for line in readme), key
         for key, entry in EXPERIMENT_FIELDS.items():
-            default = ExperimentConfig.__dataclass_fields__[entry.field].default
+            default = ExperimentConfig.__dataclass_fields__[key].default
             shown = ("unset" if default is None
                      else f"`{str(default).lower() if isinstance(default, bool) else default}`")
             assert f"| `{key}` | {shown} | {entry.accepts} |" in readme
@@ -182,15 +183,15 @@ class TestParseConfig:
         parser = configparser.ConfigParser()
         parser.read_string("[experiment]\nd = 2\nbudgets = 100\n[estimator krr]\n")
         config = config_from_parser(parser)
-        for key, entry in EXPERIMENT_FIELDS.items():
+        for key in EXPERIMENT_FIELDS:
             if key != "budgets":
-                want = ExperimentConfig.__dataclass_fields__[entry.field].default
-                assert getattr(config, entry.field) == want, key
+                want = ExperimentConfig.__dataclass_fields__[key].default
+                assert getattr(config, key) == want, key
 
     @pytest.mark.parametrize("key, raw", [
         ("sigma", "nan"), ("sigma", "-0.5"), ("alpha", "0"), ("gamma", "inf"),
         ("smoothness", "0"), ("m", "0"), ("master_seed", "-1"), ("evaluation", "test"),
-        ("record_timing", "maybe"),
+        ("record_timing", "maybe"), ("allocation", "bogus"),
     ])
     def test_out_of_range_value_names_the_key(self, key, raw):
         parser = configparser.ConfigParser()
@@ -199,14 +200,38 @@ class TestParseConfig:
             config_from_parser(parser)
 
     @pytest.mark.parametrize("field, value", [
-        ("sigma", math.inf), ("var_alpha", 5.0), ("var_beta", 2.0), ("var_gamma", 0.5),
+        ("sigma", math.inf), ("alpha", 5.0), ("beta", 2.0), ("gamma", 0.5),
         ("replications", 0), ("master_seed", -1), ("evaluation", "test"),
+        ("allocation", "bogus"),
     ])
     def test_replace_applies_the_same_range_rule(self, tmp_path, field, value):
         config = parse_config(write_config(tmp_path, TINY))
-        key = {"var_alpha": "alpha", "var_beta": "beta", "var_gamma": "gamma"}.get(field, field)
-        with pytest.raises(ConfigError, match=f"^{key} must be"):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
             dataclasses.replace(config, **{field: value})
+
+    @pytest.mark.parametrize("path, key, value", [
+        ("configs/standard_rate_d1.ini", "m", 7),
+        ("configs/var_ordering_d10.ini", "allocation", "smooth"),
+        ("tests/data/golden_config.ini", "alpha", 0.5),
+        ("configs/var_ordering_d10.ini", "beta", 0.5),
+    ])
+    def test_replace_applies_the_same_mode_rule(self, path, key, value):
+        config = parse_config(Path(__file__).parent.parent / path)
+        with pytest.raises(ConfigError, match=f"experiment key '{key}' is only read with"):
+            dataclasses.replace(config, **{key: value})
+
+    @pytest.mark.parametrize("line, key", [
+        ("m = 1", "m"), ("beta = 1.0", "beta"), ("gamma = 1", "gamma"),
+    ])
+    def test_unread_key_is_rejected_at_its_default(self, line, key):
+        parser = configparser.ConfigParser()
+        parser.read_string(f"[experiment]\nd = 2\nbudgets = 100\n{line}\n[estimator krr]\n")
+        with pytest.raises(ConfigError, match=f"experiment key '{key}' is only read with"):
+            config_from_parser(parser)
+
+    def test_estimator_name_with_comma_rejected_in_python(self):
+        with pytest.raises(ConfigError, match="a,b"):
+            EstimatorSetting("a,b", "sample_average", {})
 
     @pytest.mark.parametrize("raw, want", [
         ("true", True), ("Yes", True), ("ON", True), ("1", True),

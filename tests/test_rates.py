@@ -135,6 +135,11 @@ class TestVarRate:
             with pytest.raises(ValueError):
                 predict_var_rate(base, alpha, beta, gamma)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_raises(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            predict_var_rate(predict_gaussian_rkhs_rate(10), 0.5, 0.5, gamma)
+
 
 class TestInducingSchedule:
     def test_experiment_gaussian_cube_of_log(self):
