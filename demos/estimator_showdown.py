@@ -11,8 +11,8 @@ import numpy as np
 from sievesim import (
     FunctionalSpec,
     KernelSpec,
+    ReluArchitecture,
     TrainConfig,
-    default_relu_architecture,
     evaluate_functional,
     fit_krr,
     fit_krr_inducing,
@@ -48,8 +48,7 @@ def main():
         f"inducing ({count} pts)": fit_krr_inducing(
             data, kernel, scenarios[random_subsample(scenarios, count, seed=11)]),
         "relu network": fit_relu_sieve(
-            data, default_relu_architecture(),
-            TrainConfig(epochs=300, batch_size=512, seed=12)),
+            data, ReluArchitecture(), TrainConfig(epochs=300, batch_size=512, seed=12)),
     }
 
     truth = surface(scenarios)

@@ -32,9 +32,9 @@ from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 __all__ = [
     "FitError", "InducingKRREstimator", "KernelExpansion", "KRREstimator", "ReluArchitecture",
     "ReluSieveEstimator", "SampleAverageEstimator", "TrainConfig", "TrainingDiverged",
-    "cross_validate_regularization", "default_regularization", "default_relu_architecture",
-    "fit_krr", "fit_krr_inducing", "fit_relu_sieve", "fit_sample_average", "load_estimator",
-    "relu_architecture_from_rate", "save_estimator",
+    "cross_validate_regularization", "default_regularization", "fit_krr", "fit_krr_inducing",
+    "fit_relu_sieve", "fit_sample_average", "load_estimator", "relu_architecture_from_rate",
+    "save_estimator",
 ]
 
 
@@ -299,10 +299,10 @@ class ReluArchitecture:
     ``hidden_widths`` lists the hidden layer sizes; ``depth`` counts affine
     maps.  ``sparsity=None`` means "as many nonzeros as there are
     parameters", i.e. no pruning.  ``max_param`` bounds every weight and
-    bias in absolute value.
+    bias in absolute value.  The defaults are a desk-scale, unpruned net.
     """
 
-    hidden_widths: tuple[int, ...]
+    hidden_widths: tuple[int, ...] = (256, 128)
     sparsity: int | None = None
     max_param: float = 1000.0
 
@@ -328,18 +328,12 @@ class ReluArchitecture:
         return sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
 
 
-def default_relu_architecture() -> ReluArchitecture:
-    """Desk-scale default: two hidden layers of 256 and 128 units, no pruning,
-    and an effectively inactive magnitude bound of 1e3."""
-    return ReluArchitecture(hidden_widths=(256, 128), sparsity=None, max_param=1000.0)
-
-
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2015 defaults).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# A trained network whose fitted values stray further than this many ybar
-# ranges from the ybar mean has blown up (for a constant ybar, the range is
-# taken as |mean|).  Working fits stay within half a range of it.
+# A trained network whose fitted values stray further than this many ybar ranges
+# (floored at |mean| and noise_sigma / sqrt(m)) from the ybar mean has blown up.
+# Working fits stay within half a range of it.
 BLOWUP_RANGES = 10.0
 
 
@@ -461,10 +455,10 @@ def fit_relu_sieve(
     plus per-parameter scaling), projecting after every step onto the sieve's
     magnitude and sparsity constraints.  Raises :class:`TrainingDiverged` if
     the loss turns non-finite or a fitted value lies more than
-    :data:`BLOWUP_RANGES` times the range of ``ybar`` (``|mean|`` when ``ybar``
-    is constant) from its mean.
+    :data:`BLOWUP_RANGES` times the range of ``ybar`` from its mean, the range
+    floored at ``|mean|`` and at ``noise_sigma / sqrt(m)``.
     """
-    arch = architecture if architecture is not None else default_relu_architecture()
+    arch = architecture if architecture is not None else ReluArchitecture()
     cfg = train if train is not None else TrainConfig()
     net = ReluNetwork(arch.layer_dims(data.dim), seed=cfg.seed)
     params = net.vector
@@ -498,7 +492,7 @@ def fit_relu_sieve(
     if not math.isfinite(final_loss):
         raise TrainingDiverged(iteration=step, loss=final_loss)
     center = float(np.mean(data.ybar))
-    spread = float(np.ptp(data.ybar)) or abs(center)
+    spread = max(float(np.ptp(data.ybar)), abs(center), data.noise_sigma / math.sqrt(data.m))
     worst = float(np.max(np.abs(fitted - center)))
     if worst > BLOWUP_RANGES * spread:
         raise TrainingDiverged(

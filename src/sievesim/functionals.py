@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "FunctionalSpec", "estimate_theta", "evaluate_functional", "nested_expectation", "resolve_eta",
-    "var_estimate",
+    "FunctionalSpec", "evaluate_functional", "nested_expectation", "resolve_eta", "var_estimate",
 ]
 
 # Hard saturation keeps exp from overflowing while leaving the typical range
@@ -79,24 +78,30 @@ class FunctionalSpec:
     """Which functional to apply, with its parameter.
 
     ``kind`` is ``"nested_expectation"`` (parameter ``eta``, a registry name
-    or callable) or ``"var"`` (parameter ``tau``).
+    or callable, ``"square"`` when omitted) or ``"var"`` (parameter ``tau``).
+    Setting the parameter the kind does not read is an error.
     """
 
     kind: str
-    eta: object = "square"
+    eta: object = None
     tau: float | None = None
 
     def __post_init__(self):
         if self.kind == "nested_expectation":
+            if self.tau is not None:
+                raise ValueError(f"a nested_expectation functional reads no tau, got {self.tau!r}")
+            object.__setattr__(self, "eta", "square" if self.eta is None else self.eta)
             resolve_eta(self.eta)
         elif self.kind == "var":
+            if self.eta is not None:
+                raise ValueError(f"a var functional reads no eta, got {self.eta!r}")
             if self.tau is None or not 0.0 < self.tau < 1.0:
                 raise ValueError(f"var functional needs tau strictly inside (0, 1), got {self.tau}")
         else:
             raise ValueError(f"unknown functional kind {self.kind!r}")
 
     @classmethod
-    def expectation(cls, eta="square") -> "FunctionalSpec":
+    def expectation(cls, eta=None) -> "FunctionalSpec":
         return cls(kind="nested_expectation", eta=eta)
 
     @classmethod
@@ -109,9 +114,3 @@ def evaluate_functional(values, spec: FunctionalSpec) -> float:
     if spec.kind == "nested_expectation":
         return nested_expectation(values, spec.eta)
     return var_estimate(values, spec.tau)
-
-
-def estimate_theta(estimator, scenarios, spec: FunctionalSpec) -> float:
-    """Plug-in estimate: predict at the scenarios, then apply the functional."""
-    values = estimator.predict(scenarios)
-    return evaluate_functional(values, spec)

@@ -70,8 +70,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EstimatorSetting:
-    """One estimator entry from the config: a name, a kind, and its options
-    as parsed by the kind's :data:`ESTIMATOR_KINDS` entry."""
+    """One estimator of the config: a name, a kind of :data:`ESTIMATOR_KINDS` and its parsed
+    options; an omitted option gets the kind's default here, for files and Python alike."""
 
     name: str
     kind: str
@@ -81,6 +81,14 @@ class EstimatorSetting:
         if "," in self.name:
             raise ConfigError(f"estimator name {self.name!r} contains ',', "
                               f"which the results CSV cannot hold")
+        if self.kind not in ESTIMATOR_KINDS:
+            raise ConfigError(f"estimator {self.name!r}: unknown kind {self.kind!r}")
+        table = ESTIMATOR_KINDS[self.kind].options
+        unknown = sorted(set(self.options) - set(table))
+        if unknown:
+            raise ConfigError(f"estimator {self.name!r} ({self.kind}): unknown options {unknown}")
+        defaults = {key: option.parse(option.default) for key, option in table.items()}
+        object.__setattr__(self, "options", defaults | self.options)
 
 
 @dataclass(frozen=True)
@@ -211,8 +219,8 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # Estimator kinds.  Each sieve the harness runs is one ESTIMATOR_KINDS entry:
 # its options (default text, accepted values, parser), its fit of one
-# replication, and its predicted rate.  Options are parsed once, when the
-# config is read; bad values are a ConfigError there, not a failed fit.
+# replication, and its predicted rate.  A bad option value is a ConfigError
+# when the config is read, not a failed fit; EstimatorSetting fills in defaults.
 # ---------------------------------------------------------------------------
 
 class Option(NamedTuple):
@@ -237,15 +245,6 @@ class EstimatorKind:
     options: dict[str, Option] = field(default_factory=dict)
     min_n: int = 1
 
-    def parse_options(self, section: str, body) -> dict:
-        """Parse an ``[estimator ...]`` section's options, defaults filled in."""
-        unknown = set(body) - set(self.options) - {"kind"}
-        if unknown:
-            raise ConfigError(f"section [{section}]: unknown keys {sorted(unknown)}")
-        return {key: _parse(section, key, body.get(key, option.default), option.parse,
-                            option.accepts)
-                for key, option in self.options.items()}
-
 
 def _parse(section: str, key: str, raw: str, parse, accepts: str = ""):
     try:
@@ -265,24 +264,13 @@ def _checked(cast, ok):
     return parse
 
 
-def _at_least_1(value) -> bool:
-    return value >= 1
+def _integer(value, least: int = 1) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def _finite_nonnegative(value) -> bool:
     return math.isfinite(value) and value >= 0.0
-
-
-_count = _checked(int, _at_least_1)
-_positive = _checked(float, lambda v: v > 0.0)
-_nonnegative = _checked(float, _finite_nonnegative)
-
-
-def _counts(raw: str) -> tuple[int, ...]:
-    values = tuple(_count(part) for part in raw.replace(",", " ").split())
-    if not values:
-        raise ValueError(raw)
-    return values
 
 
 def _keywords(words: dict, parse=None):
@@ -294,6 +282,19 @@ def _keywords(words: dict, parse=None):
             raise ValueError(raw)
         return parse(raw)
     return parse_option
+
+
+_count = _checked(int, _integer)
+_positive = _checked(float, lambda v: v > 0.0)
+_nonnegative = _checked(float, _finite_nonnegative)
+_auto = _keywords({"auto": None}, _count)
+
+
+def _counts(raw: str) -> tuple[int, ...]:
+    values = tuple(_count(part) for part in raw.replace(",", " ").split())
+    if not values:
+        raise ValueError(raw)
+    return values
 
 
 # The fits call est_mod.fit_* (and the subset samplers) by name at call time,
@@ -333,6 +334,13 @@ def _relu_rate(s, d):
     return None if s is None or s < 1 else predict_relu_rate(s, d)
 
 
+def _text(default) -> str:
+    """A default as option text: None as ``auto``, a tuple as its items, else its repr."""
+    if default is None:
+        return "auto"
+    return " ".join(map(str, default)) if isinstance(default, tuple) else repr(default)
+
+
 ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
     "sample_average": EstimatorKind(
         fit=lambda options, data, kernel, seed: est_mod.fit_sample_average(data),
@@ -351,13 +359,14 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
                         _keywords({"default": None}, _nonnegative)),
     }),
     "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, options={
-        "hidden_widths": Option("256 128", "integers >= 1, separated by spaces or commas",
-                                _counts),
-        "epochs": Option("2000", "an integer >= 1", _count),
-        "batch_size": Option("auto", "auto or an integer >= 1", _keywords({"auto": None}, _count)),
-        "learning_rate": Option("1e-3", "a number > 0", _positive),
-        "sparsity": Option("auto", "auto or an integer >= 1", _keywords({"auto": None}, _count)),
-        "max_param": Option("1000", "a number > 0 (inf allowed)", _positive),
+        "hidden_widths": Option(_text(ReluArchitecture.hidden_widths),
+                                "integers >= 1, separated by spaces or commas", _counts),
+        "epochs": Option(_text(TrainConfig.epochs), "an integer >= 1", _count),
+        "batch_size": Option(_text(TrainConfig.batch_size), "auto or an integer >= 1", _auto),
+        "learning_rate": Option(_text(TrainConfig.learning_rate), "a number > 0", _positive),
+        "sparsity": Option(_text(ReluArchitecture.sparsity), "auto or an integer >= 1", _auto),
+        "max_param": Option(_text(ReluArchitecture.max_param), "a number > 0 (inf allowed)",
+                            _positive),
     }),
 }
 
@@ -384,17 +393,18 @@ def _probability(value) -> bool:
 
 # Every [experiment] key but the spec keys; an omitted key keeps its field default.
 EXPERIMENT_FIELDS: dict[str, ExperimentKey] = {
-    "sizes": ExperimentKey("integers >= 1, separated by spaces or commas", _counts),
-    "m": ExperimentKey("an integer >= 1", int, _at_least_1, "sizes"),
+    "sizes": ExperimentKey("integers >= 1, separated by spaces or commas", _counts,
+                           lambda v: all(map(_integer, v))),
+    "m": ExperimentKey("an integer >= 1", int, _integer, "sizes"),
     "budgets": ExperimentKey("integers >= 8, separated by spaces or commas", _counts,
-                             lambda v: all(b >= 8 for b in v)),
+                             lambda v: all(_integer(b, 8) for b in v)),
     "allocation": ExperimentKey("standard or smooth", str,
                                 lambda v: v in ("standard", "smooth"), "budgets"),
-    "centers": ExperimentKey("an integer >= 1", int, _at_least_1),
+    "centers": ExperimentKey("an integer >= 1", int, _integer),
     "sigma": ExperimentKey("a finite number >= 0", float, _finite_nonnegative),
-    "replications": ExperimentKey("an integer >= 1", int, _at_least_1),
-    "master_seed": ExperimentKey("an integer >= 0", int, lambda v: v >= 0),
-    "theta_eval_points": ExperimentKey("an integer >= 1", int, _at_least_1),
+    "replications": ExperimentKey("an integer >= 1", int, _integer),
+    "master_seed": ExperimentKey("an integer >= 0", int, lambda v: _integer(v, 0)),
+    "theta_eval_points": ExperimentKey("an integer >= 1", int, _integer),
     "record_timing": ExperimentKey(
         "true, false, yes, no, on, off, 1 or 0",
         lambda raw: _keywords(configparser.ConfigParser.BOOLEAN_STATES)(raw.lower())),
@@ -405,9 +415,8 @@ EXPERIMENT_FIELDS: dict[str, ExperimentKey] = {
     "gamma": ExperimentKey("a finite number >= 1", float, lambda v: 1.0 <= v < math.inf,
                            "alpha"),
 }
-# The spec keys, read into the FunctionalSpec and KernelSpec, and the mode that reads each.
-SPEC_KEY_MODES = {"functional": "", "eta": "nested_expectation", "tau": "var",
-                  "kernel": "", "nu": "", "d": ""}
+# The spec keys, read into the FunctionalSpec and KernelSpec, which apply their own rules.
+SPEC_KEYS = ("functional", "eta", "tau", "kernel", "nu", "d")
 
 
 def _unread(key: str, mode: str) -> ConfigError:
@@ -432,7 +441,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     exp = parser["experiment"]
-    unknown = set(exp) - set(SPEC_KEY_MODES) - set(EXPERIMENT_FIELDS)
+    unknown = set(exp) - set(SPEC_KEYS) - set(EXPERIMENT_FIELDS)
     if unknown:
         raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
 
@@ -441,7 +450,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
 
     try:
         functional = FunctionalSpec(exp.get("functional", "nested_expectation"),
-                                    eta=exp.get("eta", "square"), tau=value("tau", float))
+                                    eta=exp.get("eta"), tau=value("tau", float))
 
         family = exp.get("kernel", "laplace")
         d = value("d", _count, "an integer >= 1")
@@ -456,14 +465,12 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             if not section.startswith("estimator"):
                 raise ConfigError(f"unexpected section [{section}]")
             name = section[len("estimator"):].strip() or "estimator"
-            body = parser[section]
-            est_kind = body.get("kind", name)
-            if est_kind not in ESTIMATOR_KINDS:
-                raise ConfigError(
-                    f"section [{section}]: unknown estimator kind {est_kind!r} "
-                    f"(name a kind or set kind=...)"
-                )
-            options = ESTIMATOR_KINDS[est_kind].parse_options(section, body)
+            body = dict(parser[section])
+            est_kind = body.pop("kind", name)
+            # Convert the options set here; EstimatorSetting checks the rest and fills defaults.
+            table = ESTIMATOR_KINDS[est_kind].options if est_kind in ESTIMATOR_KINDS else {}
+            options = {key: _parse(section, key, raw, table[key].parse, table[key].accepts)
+                       if key in table else raw for key, raw in body.items()}
             settings.append(EstimatorSetting(name=name, kind=est_kind, options=options))
 
         fields = {key: value(key, _checked(entry.cast, entry.ok), entry.accepts)
@@ -477,9 +484,8 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     # A key that the config's mode never reads is an error even at its default.
     modes = config.modes()
     for key in exp:
-        mode = SPEC_KEY_MODES[key] if key in SPEC_KEY_MODES else EXPERIMENT_FIELDS[key].mode
-        if mode not in modes:
-            raise _unread(key, mode)
+        if key in EXPERIMENT_FIELDS and EXPERIMENT_FIELDS[key].mode not in modes:
+            raise _unread(key, EXPERIMENT_FIELDS[key].mode)
     return config
 
 

@@ -132,7 +132,12 @@ def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monk
     (VAR + "alpha = 0.5\ngamma = 0.5\n[estimator krr]\n", "gamma"),
     (BASE + "alpha = 0.5\n[estimator krr]\n", "'alpha'"),
     (VAR + "beta = 0.5\n[estimator krr]\n", "'beta'"),
-], ids=["sigma_inf", "alpha", "beta", "gamma", "alpha_with_expectation", "beta_without_alpha"])
+    (VAR + "eta = square\n[estimator krr]\n", "eta"),
+    (BASE + "tau = 0.5\n[estimator krr]\n", "tau"),
+    (BASE.replace("sizes = 20 40", "budgets = 1000\nm = 1") + "[estimator krr]\n", "'m'"),
+    (BASE + "allocation = standard\n[estimator krr]\n", "allocation"),
+], ids=["sigma_inf", "alpha", "beta", "gamma", "alpha_with_expectation", "beta_without_alpha",
+        "eta_with_var", "tau_with_expectation", "m_with_budgets", "allocation_with_sizes"])
 def test_rates_rejects_bad_experiment_values_before_printing(body, key, tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(body)

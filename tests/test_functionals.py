@@ -6,17 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sievesim.estimators import fit_krr
 from sievesim.functionals import (
     FunctionalSpec,
-    estimate_theta,
     evaluate_functional,
     nested_expectation,
     resolve_eta,
     var_estimate,
 )
-from sievesim.kernels import KernelSpec
-from sievesim.synthetic import make_test_function, simulate_inner, simulate_outer
 
 
 class TestResolveEta:
@@ -127,14 +123,17 @@ class TestFunctionalSpec:
         spec = FunctionalSpec.value_at_risk(0.73)
         assert evaluate_functional(np.full(17, 5.0), spec) == 5.0
 
+    def test_eta_defaults_to_square_on_expectation_only(self):
+        assert FunctionalSpec("nested_expectation").eta == "square"
+        assert FunctionalSpec.expectation() == FunctionalSpec.expectation("square")
+        assert FunctionalSpec.value_at_risk(0.9).eta is None
 
-class TestEstimateTheta:
-    def test_matches_manual_composition(self):
-        kernel = KernelSpec.laplace(3)
-        f = make_test_function(kernel, n_centers=40, seed=4)
-        x = simulate_outer(50, 3, seed=5)
-        data = simulate_inner(f, x, 1, 0.3, seed=6)
-        fitted = fit_krr(data, kernel, 1e-2)
-        spec = FunctionalSpec.expectation("square")
-        manual = nested_expectation(fitted.predict(x), "square")
-        assert_allclose(estimate_theta(fitted, x, spec), manual, rtol=1e-15)
+    @pytest.mark.parametrize("kind, params, key", [
+        ("var", {"tau": 0.9, "eta": "bogus"}, "eta"),
+        ("var", {"tau": 0.9, "eta": "square"}, "eta"),
+        ("nested_expectation", {"tau": 0.9}, "tau"),
+        ("nested_expectation", {"eta": "identity", "tau": 0.5}, "tau"),
+    ])
+    def test_parameter_the_kind_does_not_read_is_rejected(self, kind, params, key):
+        with pytest.raises(ValueError, match=f"reads no {key}"):
+            FunctionalSpec(kind, **params)

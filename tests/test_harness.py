@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sievesim import harness
-from sievesim.estimators import fit_krr
+from sievesim.estimators import ReluArchitecture, TrainConfig, fit_krr
 from sievesim.functionals import FunctionalSpec, evaluate_functional
 from sievesim.harness import (
     ESTIMATOR_KINDS,
@@ -171,7 +171,7 @@ class TestParseConfig:
 
     def test_readme_lists_every_experiment_key_with_its_field_default(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
-        for key in [*harness.SPEC_KEY_MODES, *EXPERIMENT_FIELDS]:
+        for key in [*harness.SPEC_KEYS, *EXPERIMENT_FIELDS]:
             assert any(line.startswith(f"| `{key}` | ") for line in readme), key
         for key, entry in EXPERIMENT_FIELDS.items():
             default = ExperimentConfig.__dataclass_fields__[key].default
@@ -202,7 +202,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("field, value", [
         ("sigma", math.inf), ("alpha", 5.0), ("beta", 2.0), ("gamma", 0.5),
         ("replications", 0), ("master_seed", -1), ("evaluation", "test"),
-        ("allocation", "bogus"),
+        ("allocation", "bogus"), ("m", 1.5), ("sizes", (40.5,)), ("master_seed", 1.5),
+        ("replications", True),
     ])
     def test_replace_applies_the_same_range_rule(self, tmp_path, field, value):
         config = parse_config(write_config(tmp_path, TINY))
@@ -232,6 +233,29 @@ class TestParseConfig:
     def test_estimator_name_with_comma_rejected_in_python(self):
         with pytest.raises(ConfigError, match="a,b"):
             EstimatorSetting("a,b", "sample_average", {})
+
+    @pytest.mark.parametrize("kind, options, match", [
+        ("bogus", {}, "unknown kind 'bogus'"),
+        ("krr", {"depth": 3}, r"unknown options \['depth'\]"),
+    ])
+    def test_unknown_kind_or_option_rejected_in_python(self, kind, options, match):
+        with pytest.raises(ConfigError, match=match):
+            EstimatorSetting("x", kind, options)
+
+    def test_python_built_setting_gets_every_default(self):
+        assert EstimatorSetting("k", "krr").options == {"lambda": "default", "jitter": 1e-10}
+        relu = EstimatorSetting("r", "relu", {"epochs": 5}).options
+        arch, train = ReluArchitecture(), TrainConfig()
+        assert relu == {"hidden_widths": arch.hidden_widths, "epochs": 5,
+                        "batch_size": train.batch_size, "learning_rate": train.learning_rate,
+                        "sparsity": arch.sparsity, "max_param": arch.max_param}
+
+    def test_python_built_setting_runs_like_the_file_one(self, tmp_path):
+        from_file = parse_config(write_config(tmp_path, TINY))
+        built = dataclasses.replace(from_file, estimators=(
+            EstimatorSetting("sample_average", "sample_average"), EstimatorSetting("krr", "krr")))
+        assert built == from_file
+        assert run_experiment(built).cells == run_experiment(from_file).cells
 
     @pytest.mark.parametrize("raw, want", [
         ("true", True), ("Yes", True), ("ON", True), ("1", True),
