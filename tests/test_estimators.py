@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -292,6 +293,42 @@ class TestReluSieve:
         b = fit_relu_sieve(data, arch, TrainConfig(epochs=40, seed=35))
         assert_allclose(a.network.param_vector(), b.network.param_vector(),
                         rtol=0, atol=0)
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestReluBytes:
+    """sha256 pins of two small fits' fitted values and parameters.
+
+    In both, n is not a multiple of the batch, so each epoch runs two batch
+    sizes.  The bytes do not depend on the BLAS thread count; CI reruns this
+    class under ``OPENBLAS_NUM_THREADS=1``.
+    """
+
+    def test_unpruned_fit(self):
+        # The default (256, 128) widths; batches of 512 and 188 rows.
+        _, _, data = make_data(n=700, d=5, m=2, seed=60)
+        est = fit_relu_sieve(data, ReluArchitecture(),
+                             TrainConfig(epochs=4, batch_size=512, seed=61))
+        assert est.meta.detail["steps"] == 8
+        assert _sha256(est.fitted_values) == (
+            "a5b0fe5a70dc65bed262fe5214efad9312ea4b80b8b64a49c34e1b70005bd18b")
+        assert _sha256(est.network.vector) == (
+            "f04eac557722743ce57432c6938e830ba09a3b23c7454f70fa707659c4956a7c")
+
+    def test_pruned_fit(self):
+        # sparsity 200 of 385 parameters takes the prune path every step;
+        # batches of 64 and 22 rows.
+        _, _, data = make_data(n=150, d=2, m=3, seed=62)
+        arch = ReluArchitecture(hidden_widths=(24, 12), sparsity=200, max_param=2.0)
+        est = fit_relu_sieve(data, arch, TrainConfig(epochs=20, batch_size=64, seed=63))
+        assert np.count_nonzero(est.network.vector) == 200
+        assert _sha256(est.fitted_values) == (
+            "7966964e97b327b4d7e78ea0865a64e71b0a5a4b7c1fb9ce9e16ad583569db0a")
+        assert _sha256(est.network.vector) == (
+            "6f7eba89bc048caac6a9f50fa755fe356a8ae7bcdf68a108db5ce2a524aa0c45")
 
 
 class TestReluArchitectureSchedule:

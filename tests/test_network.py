@@ -78,6 +78,18 @@ class TestParamVector:
         assert net.weights[0][0, 0] == stepped[0] and net.biases[-1][0] == stepped[-1]
         assert not np.array_equal(net.forward(x), before)
 
+    def test_gradient_survives_a_later_call(self):
+        # Without a workspace each call returns a gradient of its own, so a
+        # later call, here on a different row count, leaves it as it was.
+        net = ReluNetwork([3, 6, 4, 1], seed=18)
+        rng = np.random.default_rng(19)
+        x, y = rng.random((9, 3)), rng.standard_normal(9)
+        _, grad = net.loss_and_grad(x, y)
+        kept = grad.copy()
+        _, other = net.loss_and_grad(x[:5], y[:5])
+        assert np.array_equal(grad, kept)
+        assert not np.shares_memory(grad, other)
+
     def test_wrong_length_rejected(self):
         net = ReluNetwork([2, 3, 1], seed=6)
         with pytest.raises(ValueError):
