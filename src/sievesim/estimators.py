@@ -467,24 +467,36 @@ def fit_relu_sieve(
     rng = np.random.default_rng(cfg.seed)
     batch = cfg.resolve_batch(data.n)
     n = data.n
+    # Buffers of this fit, reused by every step: loss_and_grad's workspace, the
+    # minibatch gathers and the Adam update's two scratch vectors.
+    work = {}
+    batch_x, batch_y = np.empty((batch, data.dim)), np.empty(batch)
+    step_a, step_b = np.empty_like(params), np.empty_like(params)
     step = 0
     for _ in range(cfg.epochs):
-        if batch >= n:
-            slices = [slice(None)]
-        else:
-            order = rng.permutation(n)
-            slices = [order[at : at + batch] for at in range(0, n, batch)]
-        for sel in slices:
-            loss, grad = net.loss_and_grad(data.scenarios[sel], data.ybar[sel])
+        order = rng.permutation(n) if batch < n else None
+        for at in range(0, n, batch):
+            x, y = data.scenarios, data.ybar
+            if order is not None:
+                sel = order[at : at + batch]
+                x = np.take(x, sel, axis=0, out=batch_x[: sel.size], mode="clip")
+                y = np.take(y, sel, out=batch_y[: sel.size], mode="clip")
+            loss, grad = net.loss_and_grad(x, y, work=work)
             if not math.isfinite(loss):
                 raise TrainingDiverged(iteration=step, loss=loss)
             step += 1
+            # params -= lr * (moment / c1) / (sqrt(scale / c2) + eps), in place.
             moment *= ADAM_BETA1
-            moment += (1.0 - ADAM_BETA1) * grad
+            moment += np.multiply(grad, 1.0 - ADAM_BETA1, out=step_a)
             scale *= ADAM_BETA2
-            scale += (1.0 - ADAM_BETA2) * grad * grad
-            params -= (cfg.learning_rate * (moment / (1.0 - ADAM_BETA1**step))
-                       / (np.sqrt(scale / (1.0 - ADAM_BETA2**step)) + ADAM_EPS))
+            np.multiply(1.0 - ADAM_BETA2, grad, out=step_a)
+            scale += np.multiply(step_a, grad, out=step_a)
+            np.divide(scale, 1.0 - ADAM_BETA2**step, out=step_b)
+            np.sqrt(step_b, out=step_b)
+            step_b += ADAM_EPS
+            np.divide(moment, 1.0 - ADAM_BETA1**step, out=step_a)
+            step_a *= cfg.learning_rate
+            params -= np.divide(step_a, step_b, out=step_a)
             _project(params, arch.max_param, arch.sparsity)
 
     fitted = net.forward(data.scenarios)

@@ -24,6 +24,18 @@ def _layer_views(vector: np.ndarray, dims: list[int]):
     return weights, biases
 
 
+def _workspace(work: dict, dims: list[int], rows: int):
+    """The buffers of :meth:`ReluNetwork.loss_and_grad`, kept in ``work`` and
+    rebuilt when the layer dims change or ``rows`` outgrows them."""
+    if work.get("dims") != dims or work["rows"] < rows:
+        grad = np.empty(sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:])))
+        work.update(dims=dims, rows=rows,
+                    hidden=[np.empty((rows, width)) for width in dims[1:-1]],
+                    masks=[np.empty((rows, width), dtype=bool) for width in dims[1:-1]],
+                    out=np.empty(rows), grad=grad, views=_layer_views(grad, dims))
+    return (work["hidden"], work["masks"], work["out"], work["grad"], *work["views"])
+
+
 class ReluNetwork:
     """Multilayer perceptron with ReLU hidden activations and scalar output.
 
@@ -75,24 +87,47 @@ class ReluNetwork:
         resid = self.forward(x) - np.asarray(y, dtype=float).ravel()
         return float(np.mean(resid**2))
 
-    def loss_and_grad(self, x, y):
-        """Mean squared loss and its gradient, one new vector ordered like ``vector``."""
+    def loss_and_grad(self, x, y, work=None):
+        """Mean squared loss and its gradient, a vector ordered like ``vector``.
+
+        ``work`` is a dict the caller keeps across calls; the activations,
+        back-propagated arrays, ReLU masks and the gradient live in it, sized
+        for the most rows seen so far, and a call with fewer rows uses their
+        leading rows.  With ``work`` the returned gradient is overwritten by
+        the next call.  Without it each call builds a fresh workspace, so the
+        caller owns the gradient it gets.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
+        rows = x.shape[0]
+        hidden, masks, out, grad, grad_w, grad_b = _workspace({} if work is None else work,
+                                                              self.layer_dims, rows)
+        acts = [x, *(h[:rows] for h in hidden)]
+        masks = [mask[:rows] for mask in masks]
 
-        activations = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            activations.append(np.maximum(activations[-1] @ w + b, 0.0))
-        resid = (activations[-1] @ self.weights[-1] + self.biases[-1]).ravel() - y
+        for w, b, a, h, mask in zip(self.weights[:-1], self.biases[:-1], acts, acts[1:], masks):
+            np.matmul(a, w, out=h)
+            h += b
+            np.maximum(h, 0.0, out=h)
+            # h > 0 exactly where its pre-activation is; taken while h is in cache.
+            np.greater(h, 0.0, out=mask)
+        resid = out[:rows]
+        np.matmul(acts[-1], self.weights[-1], out=resid[:, None])
+        resid += self.biases[-1]
+        resid -= y
         loss = float(np.mean(resid**2))
 
-        grad = np.empty_like(self.vector)
-        grad_w, grad_b = _layer_views(grad, self.layer_dims)
-        back = (2.0 / x.shape[0]) * resid[:, None]
+        back = np.multiply(resid, 2.0 / rows, out=resid)[:, None]
+        # The output layer has width 1, so back @ W.T through it is an outer
+        # product: a broadcast multiply, one exact product per entry.  Each
+        # back-propagated array overwrites the activation it no longer needs.
+        propagate = np.multiply
         for layer in range(len(self.weights) - 1, -1, -1):
-            grad_w[layer][...] = activations[layer].T @ back
-            grad_b[layer][...] = back.sum(axis=0)
+            a = acts[layer]
+            np.add.reduce(back, axis=0, out=grad_b[layer])
+            np.matmul(a.T, back, out=grad_w[layer])
             if layer:
-                # activations[layer] > 0 exactly where its pre-activation is.
-                back = (back @ self.weights[layer].T) * (activations[layer] > 0.0)
+                back = propagate(back, self.weights[layer].T, out=a)
+                np.multiply(back, masks[layer - 1], out=back)
+                propagate = np.matmul
         return loss, grad

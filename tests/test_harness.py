@@ -283,7 +283,10 @@ class TestRunExperiment:
         assert a.slopes == b.slopes
 
     def test_threaded_run_matches_sequential(self, tmp_path, monkeypatch):
-        config = parse_config(write_config(tmp_path, TINY))
+        # The relu fits (n = 30 and 120 are not multiples of the batch of 16)
+        # each train with buffers of their own, so workers share none.
+        body = TINY + "[estimator relu]\nhidden_widths = 8 4\nepochs = 3\nbatch_size = 16\n"
+        config = parse_config(write_config(tmp_path, body))
         seq = run_experiment(config)
         monkeypatch.setenv("SIEVESIM_THREADS", "4")
         par = run_experiment(config)

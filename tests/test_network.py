@@ -90,6 +90,24 @@ class TestParamVector:
         assert np.array_equal(grad, kept)
         assert not np.shares_memory(grad, other)
 
+    def test_workspace_gives_the_fresh_bits(self):
+        # One workspace across row counts that shrink and grow: each call's
+        # loss and gradient equal a fresh call's bit for bit, and the
+        # gradient lives in the workspace, so the next call overwrites it.
+        net = ReluNetwork([3, 6, 4, 1], seed=20)
+        rng = np.random.default_rng(21)
+        x, y = rng.random((12, 3)), rng.standard_normal(12)
+        work, grads = {}, []
+        for rows in (9, 5, 12, 9):
+            loss, grad = net.loss_and_grad(x[:rows], y[:rows], work=work)
+            fresh_loss, fresh_grad = net.loss_and_grad(x[:rows], y[:rows])
+            assert loss == fresh_loss
+            assert np.array_equal(grad.view(np.uint64), fresh_grad.view(np.uint64))
+            grads.append(grad)
+        # 5 rows reuse the 9-row buffers; 12 rows outgrow them.
+        assert np.shares_memory(grads[0], grads[1]) and np.shares_memory(grads[2], grads[3])
+        assert not np.shares_memory(grads[1], grads[2])
+
     def test_wrong_length_rejected(self):
         net = ReluNetwork([2, 3, 1], seed=6)
         with pytest.raises(ValueError):
