@@ -179,8 +179,10 @@ def default_regularization(spec: KernelSpec, n: int) -> float:
 
 def _krr_system(k: np.ndarray, jitter: float, shift: float) -> np.ndarray:
     """``K + jitter I + shift I`` as a Fortran-ordered copy, which LAPACK can
-    factor without copying again; the two diagonal adds keep that order."""
-    system = k.copy(order="F")
+    factor without copying again; the two diagonal adds keep that order.
+    ``K = kernel_matrix(X, X)`` equals its transpose bit for bit, so the copy
+    is of ``K.T``: a straight memcpy of the C-ordered ``K``, not a transpose."""
+    system = k.T.copy(order="F")
     diag = np.diag_indices_from(system)
     system[diag] += jitter
     system[diag] += shift

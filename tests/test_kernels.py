@@ -127,6 +127,17 @@ class TestGram:
         g = gram(KernelSpec.laplace(3), pts, jitter=0.0)
         assert_allclose(g, g.T, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("spec", [
+        KernelSpec.laplace(4), KernelSpec.gaussian(4), KernelSpec.matern(4, nu=0.5),
+        KernelSpec.matern(4, nu=1.5), KernelSpec.matern(4, nu=2.5),
+    ], ids=lambda spec: f"{spec.family}-{spec.nu}")
+    def test_self_kernel_matrix_is_symmetric_bit_for_bit(self, spec):
+        # (a - b)**2 == (b - a)**2 exactly, so K(X, X) equals its transpose;
+        # the KRR solve copies K.T in Fortran order, a straight memcpy, for K.
+        pts = np.random.default_rng(8).random((61, 4))
+        k = kernel_matrix(spec, pts, pts)
+        assert np.array_equal(k, k.T)
+
     def test_jitter_on_diagonal_only(self):
         rng = np.random.default_rng(6)
         pts = rng.random((8, 2))
