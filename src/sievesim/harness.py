@@ -87,6 +87,10 @@ class EstimatorSetting:
         unknown = sorted(set(self.options) - set(table))
         if unknown:
             raise ConfigError(f"estimator {self.name!r} ({self.kind}): unknown options {unknown}")
+        for key, value in self.options.items():
+            if not table[key].holds(value):
+                raise ConfigError(f"estimator {self.name!r} ({self.kind}): {key} must be "
+                                  f"{table[key].accepts}, got {value!r}")
         defaults = {key: option.parse(option.default) for key, option in table.items()}
         object.__setattr__(self, "options", defaults | self.options)
 
@@ -220,13 +224,26 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
 # Estimator kinds.  Each sieve the harness runs is one ESTIMATOR_KINDS entry:
 # its options (default text, accepted values, parser), its fit of one
 # replication, and its predicted rate.  A bad option value is a ConfigError
-# when the config is read, not a failed fit; EstimatorSetting fills in defaults.
+# when an EstimatorSetting is built, not a failed fit; it also fills in defaults.
 # ---------------------------------------------------------------------------
 
 class Option(NamedTuple):
+    """An estimator option: its default text, accepted values, the keywords it
+    takes with their values, and the reader and range rule of anything else."""
+
     default: str
     accepts: str
-    parse: Callable[[str], object]
+    cast: Callable[[str], object] | None = None
+    ok: Callable[[object], bool] = lambda value: False
+    words: dict = {}
+
+    def parse(self, raw: str):
+        """The value of option text; the range rule is :meth:`holds`."""
+        return _keywords(self.words, self.cast)(raw)
+
+    def holds(self, value) -> bool:
+        """Whether a parsed value is one this option accepts."""
+        return value in self.words.values() or self.ok(value)
 
 
 @dataclass(frozen=True)
@@ -269,8 +286,18 @@ def _integer(value, least: int = 1) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
+def _integers(value, least: int = 1) -> bool:
+    """Whether ``value`` is a nonempty sequence of integers of at least ``least``."""
+    return len(value) > 0 and all(_integer(v, least) for v in value)
+
+
 def _finite_nonnegative(value) -> bool:
     return math.isfinite(value) and value >= 0.0
+
+
+def _number(value) -> bool:
+    """Whether ``value`` is a real number (not a bool)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _keywords(words: dict, parse=None):
@@ -285,16 +312,18 @@ def _keywords(words: dict, parse=None):
 
 
 _count = _checked(int, _integer)
-_positive = _checked(float, lambda v: v > 0.0)
-_nonnegative = _checked(float, _finite_nonnegative)
-_auto = _keywords({"auto": None}, _count)
 
 
 def _counts(raw: str) -> tuple[int, ...]:
-    values = tuple(_count(part) for part in raw.replace(",", " ").split())
-    if not values:
-        raise ValueError(raw)
-    return values
+    return tuple(int(part) for part in raw.replace(",", " ").split())
+
+
+def _nonnegative(value) -> bool:
+    return _number(value) and _finite_nonnegative(value)
+
+
+def _positive(value) -> bool:
+    return _number(value) and value > 0.0
 
 
 # The fits call est_mod.fit_* (and the subset samplers) by name at call time,
@@ -346,27 +375,31 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
         fit=lambda options, data, kernel, seed: est_mod.fit_sample_average(data),
         rate=lambda s, d: None),
     "krr": EstimatorKind(fit=_fit_krr, rate=_kernel_rate, options={
-        "lambda": Option("default", "default, cv or a number >= 0",
-                         _keywords({"default": "default", "cv": "cv"}, _nonnegative)),
-        "jitter": Option(repr(DEFAULT_JITTER), "a number >= 0", _nonnegative),
+        "lambda": Option("default", "default, cv or a number >= 0", float, _nonnegative,
+                         {"default": "default", "cv": "cv"}),
+        "jitter": Option(repr(DEFAULT_JITTER), "a number >= 0", float, _nonnegative),
     }),
     "inducing_krr": EstimatorKind(fit=_fit_inducing, rate=_kernel_rate, min_n=2, options={
-        "schedule": Option("experiment", "experiment, theory or an integer >= 1",
-                           _keywords({"experiment": "experiment", "theory": "theory"}, _count)),
+        "schedule": Option("experiment", "experiment, theory or an integer >= 1", int, _integer,
+                           {"experiment": "experiment", "theory": "theory"}),
         "selection": Option("random", "random or farthest",
-                            _keywords({"random": "random", "farthest": "farthest"})),
-        "ridge": Option("default", "default or a number >= 0",
-                        _keywords({"default": None}, _nonnegative)),
+                            words={"random": "random", "farthest": "farthest"}),
+        "ridge": Option("default", "default or a number >= 0", float, _nonnegative,
+                        {"default": None}),
     }),
     "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, options={
         "hidden_widths": Option(_text(ReluArchitecture.hidden_widths),
-                                "integers >= 1, separated by spaces or commas", _counts),
-        "epochs": Option(_text(TrainConfig.epochs), "an integer >= 1", _count),
-        "batch_size": Option(_text(TrainConfig.batch_size), "auto or an integer >= 1", _auto),
-        "learning_rate": Option(_text(TrainConfig.learning_rate), "a number > 0", _positive),
-        "sparsity": Option(_text(ReluArchitecture.sparsity), "auto or an integer >= 1", _auto),
+                                "integers >= 1, separated by spaces or commas", _counts,
+                                _integers),
+        "epochs": Option(_text(TrainConfig.epochs), "an integer >= 1", int, _integer),
+        "batch_size": Option(_text(TrainConfig.batch_size), "auto or an integer >= 1", int,
+                             _integer, {"auto": None}),
+        "learning_rate": Option(_text(TrainConfig.learning_rate), "a number > 0", float,
+                                _positive),
+        "sparsity": Option(_text(ReluArchitecture.sparsity), "auto or an integer >= 1", int,
+                           _integer, {"auto": None}),
         "max_param": Option(_text(ReluArchitecture.max_param), "a number > 0 (inf allowed)",
-                            _positive),
+                            float, _positive),
     }),
 }
 
@@ -393,11 +426,10 @@ def _probability(value) -> bool:
 
 # Every [experiment] key but the spec keys; an omitted key keeps its field default.
 EXPERIMENT_FIELDS: dict[str, ExperimentKey] = {
-    "sizes": ExperimentKey("integers >= 1, separated by spaces or commas", _counts,
-                           lambda v: all(map(_integer, v))),
+    "sizes": ExperimentKey("integers >= 1, separated by spaces or commas", _counts, _integers),
     "m": ExperimentKey("an integer >= 1", int, _integer, "sizes"),
     "budgets": ExperimentKey("integers >= 8, separated by spaces or commas", _counts,
-                             lambda v: all(_integer(b, 8) for b in v)),
+                             lambda v: _integers(v, 8)),
     "allocation": ExperimentKey("standard or smooth", str,
                                 lambda v: v in ("standard", "smooth"), "budgets"),
     "centers": ExperimentKey("an integer >= 1", int, _integer),
@@ -467,7 +499,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             name = section[len("estimator"):].strip() or "estimator"
             body = dict(parser[section])
             est_kind = body.pop("kind", name)
-            # Convert the options set here; EstimatorSetting checks the rest and fills defaults.
+            # Read the options set here; EstimatorSetting checks them and fills defaults.
             table = ESTIMATOR_KINDS[est_kind].options if est_kind in ESTIMATOR_KINDS else {}
             options = {key: _parse(section, key, raw, table[key].parse, table[key].accepts)
                        if key in table else raw for key, raw in body.items()}

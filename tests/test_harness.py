@@ -242,6 +242,41 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             EstimatorSetting("x", kind, options)
 
+    @pytest.mark.parametrize("kind, options, key", [
+        ("krr", {"lambda": -1.0}, "lambda"),
+        ("krr", {"lambda": "bogus"}, "lambda"),
+        ("krr", {"jitter": float("nan")}, "jitter"),
+        ("inducing_krr", {"schedule": 0}, "schedule"),
+        ("inducing_krr", {"selection": "nearest"}, "selection"),
+        ("inducing_krr", {"ridge": -1e-3}, "ridge"),
+        ("relu", {"epochs": 0}, "epochs"),
+        ("relu", {"epochs": 2.5}, "epochs"),
+        ("relu", {"hidden_widths": "8 4"}, "hidden_widths"),
+        ("relu", {"hidden_widths": ()}, "hidden_widths"),
+        ("relu", {"batch_size": True}, "batch_size"),
+        ("relu", {"learning_rate": 0.0}, "learning_rate"),
+        ("relu", {"sparsity": 0}, "sparsity"),
+        ("relu", {"max_param": -1.0}, "max_param"),
+    ])
+    def test_python_built_option_obeys_the_file_rule(self, kind, options, key):
+        with pytest.raises(ConfigError, match=f"^estimator 'x' \\({kind}\\): {key} must be "):
+            EstimatorSetting("x", kind, options)
+
+    @pytest.mark.parametrize("kind", sorted(ESTIMATOR_KINDS))
+    def test_every_default_and_keyword_obeys_its_rule(self, kind):
+        for key, option in ESTIMATOR_KINDS[kind].options.items():
+            for value in (option.parse(option.default), *option.words.values()):
+                assert EstimatorSetting("x", kind, {key: value}).options[key] == value
+
+    @pytest.mark.parametrize("path, field", [
+        ("tests/data/golden_config.ini", "sizes"),
+        ("configs/standard_rate_d1.ini", "budgets"),
+    ])
+    def test_replace_rejects_an_empty_sweep(self, path, field):
+        config = parse_config(Path(__file__).parent.parent / path)
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            dataclasses.replace(config, **{field: ()})
+
     def test_python_built_setting_gets_every_default(self):
         assert EstimatorSetting("k", "krr").options == {"lambda": "default", "jitter": 1e-10}
         relu = EstimatorSetting("r", "relu", {"epochs": 5}).options
