@@ -24,18 +24,6 @@ def _layer_views(vector: np.ndarray, dims: list[int]):
     return weights, biases
 
 
-def _workspace(work: dict, dims: list[int], rows: int):
-    """The buffers of :meth:`ReluNetwork.loss_and_grad`, kept in ``work`` and
-    rebuilt when the layer dims change or ``rows`` outgrows them."""
-    if work.get("dims") != dims or work["rows"] < rows:
-        grad = np.empty(sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:])))
-        work.update(dims=dims, rows=rows,
-                    hidden=[np.empty((rows, width)) for width in dims[1:-1]],
-                    masks=[np.empty((rows, width), dtype=bool) for width in dims[1:-1]],
-                    out=np.empty(rows), grad=grad, views=_layer_views(grad, dims))
-    return (work["hidden"], work["masks"], work["out"], work["grad"], *work["views"])
-
-
 class ReluNetwork:
     """Multilayer perceptron with ReLU hidden activations and scalar output.
 
@@ -87,21 +75,33 @@ class ReluNetwork:
         resid = self.forward(x) - np.asarray(y, dtype=float).ravel()
         return float(np.mean(resid**2))
 
+    def _workspace(self, work: dict, rows: int):
+        """The buffers of :meth:`loss_and_grad`, kept in ``work`` and rebuilt
+        when ``rows`` outgrows them."""
+        if work.get("rows", 0) < rows:
+            widths = self.layer_dims[1:-1]
+            grad = np.empty_like(self.vector)
+            work.update(rows=rows, hidden=[np.empty((rows, width)) for width in widths],
+                        masks=[np.empty((rows, width), dtype=bool) for width in widths],
+                        out=np.empty(rows), grad=grad, views=_layer_views(grad, self.layer_dims))
+        return (work["hidden"], work["masks"], work["out"], work["grad"], *work["views"])
+
     def loss_and_grad(self, x, y, work=None):
         """Mean squared loss and its gradient, a vector ordered like ``vector``.
 
-        ``work`` is a dict the caller keeps across calls; the activations,
-        back-propagated arrays, ReLU masks and the gradient live in it, sized
-        for the most rows seen so far, and a call with fewer rows uses their
-        leading rows.  With ``work`` the returned gradient is overwritten by
-        the next call.  Without it each call builds a fresh workspace, so the
-        caller owns the gradient it gets.
+        ``work`` is a dict the caller keeps across this network's calls
+        (start with ``{}``); the activations, back-propagated arrays, ReLU
+        masks and the gradient live in it, sized for the most rows seen so
+        far, and a call with fewer rows uses their leading rows.  With
+        ``work`` the returned gradient is overwritten by the next call.
+        Without it each call builds a fresh workspace, so the caller owns
+        the gradient it gets.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         rows = x.shape[0]
-        hidden, masks, out, grad, grad_w, grad_b = _workspace({} if work is None else work,
-                                                              self.layer_dims, rows)
+        hidden, masks, out, grad, grad_w, grad_b = self._workspace(
+            {} if work is None else work, rows)
         acts = [x, *(h[:rows] for h in hidden)]
         masks = [mask[:rows] for mask in masks]
 
