@@ -222,7 +222,7 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
 
 # ---------------------------------------------------------------------------
 # Estimator kinds.  Each sieve the harness runs is one ESTIMATOR_KINDS entry:
-# its options (default text, accepted values, parser), its fit of one
+# its options (default text, accepted values, reader, range rule), its fit of one
 # replication, and its predicted rate.  A bad option value is a ConfigError
 # when an EstimatorSetting is built, not a failed fit; it also fills in defaults.
 # ---------------------------------------------------------------------------
