@@ -53,8 +53,8 @@ from .synthetic import ThetaOracle, make_test_function, simulate_inner, simulate
 
 __all__ = [
     "CellStats", "ConfigError", "EstimatorSetting", "ExperimentConfig", "ExperimentResult",
-    "SlopeFit", "emit_results", "fit_loglog_slope", "parse_config", "parse_results_csv",
-    "run_experiment", "slopes_from_cells",
+    "FitRecord", "SlopeFit", "emit_results", "fit_loglog_slope", "parse_config",
+    "parse_results_csv", "run_experiment", "slopes_from_cells",
 ]
 
 _TESTFN_TAG = 0
@@ -122,12 +122,13 @@ class ExperimentConfig:
         if not self.estimators:
             raise ConfigError("at least one estimator is required")
         modes = self.modes()
-        for key, entry in EXPERIMENT_FIELDS.items():
-            value = getattr(self, key)
-            if value is not None and not entry.ok(value):
-                raise ConfigError(f"{key} must be {entry.accepts}, got {value!r}")
-            if entry.mode not in modes and value != self.__dataclass_fields__[key].default:
-                raise _unread(key, entry.mode)
+        for key, rule in EXPERIMENT_FIELDS.items():
+            value, default = getattr(self, key), self.__dataclass_fields__[key].default
+            # None means "unset" only for a field whose default is None.
+            if (value is not None or default is not None) and not rule.holds(value):
+                raise ConfigError(f"{key} must be {rule.accepts}, got {value!r}")
+            if rule.mode not in modes and value != default:
+                raise _unread(key, rule.mode)
         names = [e.name for e in self.estimators]
         if len(set(names)) < len(names):
             raise ConfigError(f"duplicate estimator names in {names}")
@@ -175,12 +176,28 @@ class SlopeFit:
     slope_stderr: float
 
 
+class FitRecord(NamedTuple):
+    """One estimator's fit of the dataset at one (size, replication) cell: its absolute
+    error and wall time, or an error of None with the FitError text in ``failure``."""
+
+    size_index: int
+    replication: int
+    estimator: str
+    error: float | None
+    seconds: float
+    failure: str | None = None
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
+    """A run's output.  ``records`` holds every :class:`FitRecord` in job order (size,
+    replication, estimator); the cells, slopes and warnings are folded from them."""
+
     cells: tuple[CellStats, ...]
     slopes: tuple[SlopeFit, ...]
     theta: ThetaOracle
     warnings: tuple[str, ...] = ()
+    records: tuple[FitRecord, ...] = ()
 
     def get_cell(self, estimator: str, n: int) -> CellStats:
         for cell in self.cells:
@@ -221,28 +238,39 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Estimator kinds.  Each sieve the harness runs is one ESTIMATOR_KINDS entry:
-# its options (default text, accepted values, reader, range rule), its fit of one
-# replication, and its predicted rate.  A bad option value is a ConfigError
-# when an EstimatorSetting is built, not a failed fit; it also fills in defaults.
+# Config value rules and estimator kinds.  Every estimator option and
+# [experiment] key has one Option, which reads its text and checks a value built
+# in Python.  Each sieve the harness runs is one ESTIMATOR_KINDS entry: its
+# options, its fit of one replication, and its predicted rate.  A bad option
+# value is a ConfigError when the config is read or an EstimatorSetting is built,
+# not a failed fit; the setting also fills in defaults.
 # ---------------------------------------------------------------------------
 
 class Option(NamedTuple):
-    """An estimator option: its default text, accepted values, the keywords it
-    takes with their values, and the reader and range rule of anything else."""
+    """A config value's rule: its accepted values, the reader and range rule of its
+    text, the keywords it takes with their values, and either an estimator option's
+    default text or the mode that reads an ``[experiment]`` key (one of
+    :meth:`ExperimentConfig.modes`)."""
 
-    default: str
     accepts: str
-    cast: Callable[[str], object] | None = None
+    cast: Callable[[str], object] = str
     ok: Callable[[object], bool] = lambda value: False
     words: dict = {}
+    default: str = ""
+    mode: str = ""
 
     def parse(self, raw: str):
-        """The value of option text; the range rule is :meth:`holds`."""
-        return _keywords(self.words, self.cast)(raw)
+        """The value of config text: a keyword's value, else the text read by ``cast``
+        if that :meth:`holds`; ValueError if the text is unreadable or out of range."""
+        if raw in self.words:
+            return self.words[raw]
+        value = self.cast(raw)
+        if not self.holds(value):
+            raise ValueError(raw)
+        return value
 
     def holds(self, value) -> bool:
-        """Whether a parsed value is one this option accepts."""
+        """Whether a value is one this rule accepts."""
         return value in self.words.values() or self.ok(value)
 
 
@@ -263,22 +291,12 @@ class EstimatorKind:
     min_n: int = 1
 
 
-def _parse(section: str, key: str, raw: str, parse, accepts: str = ""):
+def _parse(section: str, key: str, raw: str, rule: Option):
     try:
-        return parse(raw)
+        return rule.parse(raw)
     except ValueError:
-        expected = f"; expected {accepts}" if accepts else ""
-        raise ConfigError(f"section [{section}]: bad value {key} = {raw!r}{expected}") from None
-
-
-def _checked(cast, ok):
-    """A parser that reads a value with ``cast`` and rejects it unless ``ok(value)``."""
-    def parse(raw: str):
-        value = cast(raw)
-        if not ok(value):
-            raise ValueError(raw)
-        return value
-    return parse
+        raise ConfigError(f"section [{section}]: bad value {key} = {raw!r}; "
+                          f"expected {rule.accepts}") from None
 
 
 def _integer(value, least: int = 1) -> bool:
@@ -291,27 +309,9 @@ def _integers(value, least: int = 1) -> bool:
     return len(value) > 0 and all(_integer(v, least) for v in value)
 
 
-def _finite_nonnegative(value) -> bool:
-    return math.isfinite(value) and value >= 0.0
-
-
 def _number(value) -> bool:
     """Whether ``value`` is a real number (not a bool)."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _keywords(words: dict, parse=None):
-    """A parser mapping each keyword in ``words`` to its value, else ``parse``."""
-    def parse_option(raw: str):
-        if raw in words:
-            return words[raw]
-        if parse is None:
-            raise ValueError(raw)
-        return parse(raw)
-    return parse_option
-
-
-_count = _checked(int, _integer)
 
 
 def _counts(raw: str) -> tuple[int, ...]:
@@ -319,11 +319,15 @@ def _counts(raw: str) -> tuple[int, ...]:
 
 
 def _nonnegative(value) -> bool:
-    return _number(value) and _finite_nonnegative(value)
+    return _number(value) and math.isfinite(value) and value >= 0.0
 
 
 def _positive(value) -> bool:
     return _number(value) and value > 0.0
+
+
+_COUNT = Option("an integer >= 1", int, _integer)
+_PROBABILITY = Option("a number in (0, 1]", float, lambda v: _number(v) and 0.0 < v <= 1.0)
 
 
 # The fits call est_mod.fit_* (and the subset samplers) by name at call time,
@@ -375,31 +379,30 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
         fit=lambda options, data, kernel, seed: est_mod.fit_sample_average(data),
         rate=lambda s, d: None),
     "krr": EstimatorKind(fit=_fit_krr, rate=_kernel_rate, options={
-        "lambda": Option("default", "default, cv or a number >= 0", float, _nonnegative,
-                         {"default": "default", "cv": "cv"}),
-        "jitter": Option(repr(DEFAULT_JITTER), "a number >= 0", float, _nonnegative),
+        "lambda": Option("default, cv or a number >= 0", float, _nonnegative,
+                         {"default": "default", "cv": "cv"}, "default"),
+        "jitter": Option("a number >= 0", float, _nonnegative, default=repr(DEFAULT_JITTER)),
     }),
     "inducing_krr": EstimatorKind(fit=_fit_inducing, rate=_kernel_rate, min_n=2, options={
-        "schedule": Option("experiment", "experiment, theory or an integer >= 1", int, _integer,
-                           {"experiment": "experiment", "theory": "theory"}),
-        "selection": Option("random", "random or farthest",
-                            words={"random": "random", "farthest": "farthest"}),
-        "ridge": Option("default", "default or a number >= 0", float, _nonnegative,
-                        {"default": None}),
+        "schedule": Option("experiment, theory or an integer >= 1", int, _integer,
+                           {"experiment": "experiment", "theory": "theory"}, "experiment"),
+        "selection": Option("random or farthest",
+                            words={"random": "random", "farthest": "farthest"}, default="random"),
+        "ridge": Option("default or a number >= 0", float, _nonnegative, {"default": None},
+                        "default"),
     }),
     "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, options={
-        "hidden_widths": Option(_text(ReluArchitecture.hidden_widths),
-                                "integers >= 1, separated by spaces or commas", _counts,
-                                _integers),
-        "epochs": Option(_text(TrainConfig.epochs), "an integer >= 1", int, _integer),
-        "batch_size": Option(_text(TrainConfig.batch_size), "auto or an integer >= 1", int,
-                             _integer, {"auto": None}),
-        "learning_rate": Option(_text(TrainConfig.learning_rate), "a number > 0", float,
-                                _positive),
-        "sparsity": Option(_text(ReluArchitecture.sparsity), "auto or an integer >= 1", int,
-                           _integer, {"auto": None}),
-        "max_param": Option(_text(ReluArchitecture.max_param), "a number > 0 (inf allowed)",
-                            float, _positive),
+        "hidden_widths": Option("integers >= 1, separated by spaces or commas", _counts,
+                                _integers, default=_text(ReluArchitecture.hidden_widths)),
+        "epochs": _COUNT._replace(default=_text(TrainConfig.epochs)),
+        "batch_size": Option("auto or an integer >= 1", int, _integer, {"auto": None},
+                             _text(TrainConfig.batch_size)),
+        "learning_rate": Option("a number > 0", float, _positive,
+                                default=_text(TrainConfig.learning_rate)),
+        "sparsity": Option("auto or an integer >= 1", int, _integer, {"auto": None},
+                           _text(ReluArchitecture.sparsity)),
+        "max_param": Option("a number > 0 (inf allowed)", float, _positive,
+                            default=_text(ReluArchitecture.max_param)),
     }),
 }
 
@@ -409,43 +412,29 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
 # [estimator NAME] section per estimator; values are flat key = value lines).
 # ---------------------------------------------------------------------------
 
-class ExperimentKey(NamedTuple):
-    """An ``[experiment]`` key, named as its :class:`ExperimentConfig` field: its
-    accepted values, reader, range rule (applied when parsed and by ``__post_init__``)
-    and the mode that reads it (one of :meth:`ExperimentConfig.modes`)."""
-
-    accepts: str
-    cast: Callable[[str], object]
-    ok: Callable[[object], bool] = lambda value: True
-    mode: str = ""
-
-
-def _probability(value) -> bool:
-    return 0.0 < value <= 1.0
-
-
-# Every [experiment] key but the spec keys; an omitted key keeps its field default.
-EXPERIMENT_FIELDS: dict[str, ExperimentKey] = {
-    "sizes": ExperimentKey("integers >= 1, separated by spaces or commas", _counts, _integers),
-    "m": ExperimentKey("an integer >= 1", int, _integer, "sizes"),
-    "budgets": ExperimentKey("integers >= 8, separated by spaces or commas", _counts,
-                             lambda v: _integers(v, 8)),
-    "allocation": ExperimentKey("standard or smooth", str,
-                                lambda v: v in ("standard", "smooth"), "budgets"),
-    "centers": ExperimentKey("an integer >= 1", int, _integer),
-    "sigma": ExperimentKey("a finite number >= 0", float, _finite_nonnegative),
-    "replications": ExperimentKey("an integer >= 1", int, _integer),
-    "master_seed": ExperimentKey("an integer >= 0", int, lambda v: _integer(v, 0)),
-    "theta_eval_points": ExperimentKey("an integer >= 1", int, _integer),
-    "record_timing": ExperimentKey(
-        "true, false, yes, no, on, off, 1 or 0",
-        lambda raw: _keywords(configparser.ConfigParser.BOOLEAN_STATES)(raw.lower())),
-    "evaluation": ExperimentKey("train or fresh", str, lambda v: v in ("train", "fresh")),
-    "smoothness": ExperimentKey("a finite number > 0", float, lambda v: 0.0 < v < math.inf),
-    "alpha": ExperimentKey("a number in (0, 1]", float, _probability, "var"),
-    "beta": ExperimentKey("a number in (0, 1]", float, _probability, "alpha"),
-    "gamma": ExperimentKey("a finite number >= 1", float, lambda v: 1.0 <= v < math.inf,
-                           "alpha"),
+# Every [experiment] key but the spec keys, named as its ExperimentConfig field; an
+# omitted key keeps its field default.
+EXPERIMENT_FIELDS: dict[str, Option] = {
+    "sizes": Option("integers >= 1, separated by spaces or commas", _counts, _integers),
+    "m": _COUNT._replace(mode="sizes"),
+    "budgets": Option("integers >= 8, separated by spaces or commas", _counts,
+                      lambda v: _integers(v, 8)),
+    "allocation": Option("standard or smooth", words={"standard": "standard", "smooth": "smooth"},
+                         mode="budgets"),
+    "centers": _COUNT,
+    "sigma": Option("a finite number >= 0", float, _nonnegative),
+    "replications": _COUNT,
+    "master_seed": Option("an integer >= 0", int, lambda v: _integer(v, 0)),
+    "theta_eval_points": _COUNT,
+    "record_timing": Option("true, false, yes, no, on, off, 1 or 0",
+                            lambda raw: configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower()),
+                            lambda v: isinstance(v, bool)),
+    "evaluation": Option("train or fresh", words={"train": "train", "fresh": "fresh"}),
+    "smoothness": Option("a finite number > 0", float, lambda v: _positive(v) and v < math.inf),
+    "alpha": _PROBABILITY._replace(mode="var"),
+    "beta": _PROBABILITY._replace(mode="alpha"),
+    "gamma": Option("a finite number >= 1", float,
+                    lambda v: _number(v) and 1.0 <= v < math.inf, mode="alpha"),
 }
 # The spec keys, read into the FunctionalSpec and KernelSpec, which apply their own rules.
 SPEC_KEYS = ("functional", "eta", "tau", "kernel", "nu", "d")
@@ -477,18 +466,19 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
 
-    def value(key, parse, accepts=""):
-        return None if key not in exp else _parse("experiment", key, exp[key], parse, accepts)
+    def value(key, rule):
+        return None if key not in exp else _parse("experiment", key, exp[key], rule)
 
+    number = Option("a number", float, _number)
     try:
         functional = FunctionalSpec(exp.get("functional", "nested_expectation"),
-                                    eta=exp.get("eta"), tau=value("tau", float))
+                                    eta=exp.get("eta"), tau=value("tau", number))
 
         family = exp.get("kernel", "laplace")
-        d = value("d", _count, "an integer >= 1")
+        d = value("d", _COUNT)
         if d is None:
             raise ConfigError("experiment key 'd' is required")
-        kernel = KernelSpec(family, d, nu=value("nu", float))
+        kernel = KernelSpec(family, d, nu=value("nu", number))
 
         settings = []
         for section in parser.sections():
@@ -499,14 +489,13 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             name = section[len("estimator"):].strip() or "estimator"
             body = dict(parser[section])
             est_kind = body.pop("kind", name)
-            # Read the options set here; EstimatorSetting checks them and fills defaults.
+            # Read the options set here; EstimatorSetting rejects unknown ones, fills defaults.
             table = ESTIMATOR_KINDS[est_kind].options if est_kind in ESTIMATOR_KINDS else {}
-            options = {key: _parse(section, key, raw, table[key].parse, table[key].accepts)
-                       if key in table else raw for key, raw in body.items()}
+            options = {key: _parse(section, key, raw, table[key]) if key in table else raw
+                       for key, raw in body.items()}
             settings.append(EstimatorSetting(name=name, kind=est_kind, options=options))
 
-        fields = {key: value(key, _checked(entry.cast, entry.ok), entry.accepts)
-                  for key, entry in EXPERIMENT_FIELDS.items() if key in exp}
+        fields = {key: value(key, rule) for key, rule in EXPERIMENT_FIELDS.items() if key in exp}
         config = ExperimentConfig(functional=functional, kernel=kernel,
                                   estimators=tuple(settings), **fields)
     except ConfigError:
@@ -573,20 +562,22 @@ def _worker_count() -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full sweep and aggregate per-cell error statistics.
+    """Run the full sweep and fold its fit records into per-cell error statistics.
 
     Fit failures (:class:`~sievesim.estimators.FitError`) invalidate single
     replications and the run continues; any other exception aborts with the
     failing cell identified.  Slopes are fitted per estimator to
     ``log(mean_abs_error)`` against ``log(n * m)`` when at least three cells
-    are valid; otherwise the slope is omitted and a warning recorded.
+    are valid; otherwise the slope is omitted.  A warning names each failed fit
+    and each cell left out of a slope fit, and, in a sweep of three or more
+    cells, each estimator left without a slope.
     """
     workers = _worker_count()
     cells = config.cells()
     surface = config_test_function(config)
     theta = config_theta(config)
 
-    def run_cell(si: int, r: int):
+    def run_cell(si: int, r: int) -> list[FitRecord]:
         data = simulate_cell(config, surface, si, r)
         eval_points = None
         if config.evaluation == "fresh":
@@ -597,6 +588,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for ei, setting in enumerate(config.estimators):
             fit_seed = _seed(config.master_seed, _FIT_TAG, si, r, ei)
             start = time.perf_counter()
+            err = failure = None
             try:
                 fitted = ESTIMATOR_KINDS[setting.kind].fit(
                     setting.options, data, config.kernel, fit_seed)
@@ -605,31 +597,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 estimate = evaluate_functional(values, config.functional)
                 err = abs(estimate - theta.value)
             except FitError as exc:
-                out.append((None, time.perf_counter() - start,
-                            f"{setting.name} at n={data.n}, replication {r}: {exc}"))
-                continue
+                failure = f"{setting.name} at n={data.n}, replication {r}: {exc}"
             except Exception as exc:
                 raise RuntimeError(
                     f"estimator {setting.name!r} failed at n={data.n}, replication {r}"
                 ) from exc
-            out.append((err, time.perf_counter() - start, None))
+            out.append(FitRecord(si, r, setting.name, err, time.perf_counter() - start, failure))
         return out
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cell_outputs = list(pool.map(lambda sr: run_cell(*sr), jobs))
+            batches = list(pool.map(lambda sr: run_cell(*sr), jobs))
     else:
-        cell_outputs = [run_cell(si, r) for si, r in jobs]
+        batches = [run_cell(si, r) for si, r in jobs]
+    records = tuple(record for batch in batches for record in batch)
 
-    # cell_outputs[si * replications + r][ei] is (error or None, seconds, warning).
-    warnings = [warning for outputs in cell_outputs for *_, warning in outputs if warning]
+    runs: dict[tuple[str, int], list[FitRecord]] = {}
+    for record in records:
+        runs.setdefault((record.estimator, record.size_index), []).append(record)
+    warnings = [record.failure for record in records if record.failure]
     stats: list[CellStats] = []
-    for ei, setting in enumerate(config.estimators):
+    for setting in config.estimators:
         for si, (n, m) in enumerate(cells):
-            runs = [outputs[ei] for outputs in
-                    cell_outputs[si * config.replications:(si + 1) * config.replications]]
-            vals = [err for err, _, _ in runs if err is not None]
+            cell_runs = runs[setting.name, si]
+            vals = [run.error for run in cell_runs if run.error is not None]
             if vals:
                 mean = float(np.mean(vals))
                 std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
@@ -639,7 +631,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             stats.append(CellStats(
                 estimator=setting.name, n=n, m=m, replications=len(vals),
                 mean_abs_error=mean, std_abs_error=std,
-                wall_time_s=sum(t for _, t, _ in runs) if config.record_timing else 0.0,
+                wall_time_s=sum(run.seconds for run in cell_runs) if config.record_timing else 0.0,
             ))
             if not enters_slope_fit(stats[-1]):
                 warnings.append(f"{setting.name}: cell n={n} excluded from slope fit "
@@ -652,6 +644,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         slopes=tuple(slopes_from_cells(stats)),
         theta=theta,
         warnings=tuple(warnings),
+        records=records,
     )
 
 

@@ -204,6 +204,10 @@ class TestParseConfig:
         ("replications", 0), ("master_seed", -1), ("evaluation", "test"),
         ("allocation", "bogus"), ("m", 1.5), ("sizes", (40.5,)), ("master_seed", 1.5),
         ("replications", True),
+        # Only a field whose default is None may be None, and record_timing is a bool.
+        ("sigma", None), ("replications", None), ("centers", None), ("m", None),
+        ("master_seed", None), ("evaluation", None), ("beta", None), ("record_timing", "false"),
+        ("record_timing", 1), ("sigma", "1.0"), ("smoothness", "2"),
     ])
     def test_replace_applies_the_same_range_rule(self, tmp_path, field, value):
         config = parse_config(write_config(tmp_path, TINY))
@@ -228,6 +232,17 @@ class TestParseConfig:
         parser = configparser.ConfigParser()
         parser.read_string(f"[experiment]\nd = 2\nbudgets = 100\n{line}\n[estimator krr]\n")
         with pytest.raises(ConfigError, match=f"experiment key '{key}' is only read with"):
+            config_from_parser(parser)
+
+    @pytest.mark.parametrize("kind, line", [
+        ("krr", "lambda = -1"), ("relu", "epochs = 0"), ("inducing_krr", "ridge = nan"),
+    ])
+    def test_out_of_range_option_fails_when_read(self, kind, line):
+        parser = configparser.ConfigParser()
+        parser.read_string(f"[experiment]\nd = 2\nsizes = 30\n[estimator {kind}]\n{line}\n")
+        key, raw = line.split(" = ")
+        with pytest.raises(ConfigError, match=(rf"^section \[estimator {kind}\]: "
+                                               rf"bad value {key} = '{raw}'; expected ")):
             config_from_parser(parser)
 
     def test_estimator_name_with_comma_rejected_in_python(self):
@@ -422,6 +437,32 @@ max_param = inf
         assert not any(s.estimator == "exploding" for s in result.slopes)
         good = result.get_cell("sample_average", 30)
         assert math.isfinite(good.mean_abs_error)
+
+    # The exploding fits overflow; the filter also reaches the pool threads, which
+    # np.errstate does not.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_records_fold_into_cells_and_warnings(self, tmp_path, monkeypatch):
+        body = TINY + ("[estimator exploding]\nkind = relu\nepochs = 10\nlearning_rate = 1e80\n"
+                       "max_param = inf\n")
+        config = parse_config(write_config(tmp_path, body))
+        result = run_experiment(config)
+        names = [setting.name for setting in config.estimators]
+        jobs = [(si, r, name) for si in range(3) for r in range(2) for name in names]
+        assert [(record.size_index, record.replication, record.estimator)
+                for record in result.records] == jobs
+        for si, (n, _) in enumerate(config.cells()):
+            for name in names:
+                fitted = [record for record in result.records if record.size_index == si
+                          and record.estimator == name and record.error is not None]
+                assert result.get_cell(name, n).replications == len(fitted)
+        failures = [record.failure for record in result.records if record.failure]
+        assert len(failures) == 6 and all(f.startswith("exploding at n=") for f in failures)
+        assert list(result.warnings[:len(failures)]) == failures
+        assert result.get_cell("exploding", 30).replications == 0
+        monkeypatch.setenv("SIEVESIM_THREADS", "2")
+        threaded = run_experiment(config)
+        assert ([record._replace(seconds=0.0) for record in threaded.records]
+                == [record._replace(seconds=0.0) for record in result.records])
 
     def test_blown_up_relu_fits_are_counted_failures(self, tmp_path):
         # learning_rate = 1e6 keeps every loss finite, but the fits land
