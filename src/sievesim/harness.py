@@ -17,8 +17,9 @@ reproduced in isolation and replications may run concurrently:
   selection): ``(master, 3, si, r, ei)``
 * fresh evaluation points (optional mode): ``(master, 4, si, r)``
 
-Set the ``SIEVESIM_THREADS`` environment variable to run replications in a
-thread pool; output is identical either way.
+Every sweep fits its (size, replication) jobs on a pool of ``SIEVESIM_THREADS`` threads
+(default 1), each under the caller's numpy error state, with the same output at any
+count; an error that aborts the run stops it once the running jobs finish.
 """
 
 from __future__ import annotations
@@ -305,8 +306,9 @@ def _integer(value, least: int = 1) -> bool:
 
 
 def _integers(value, least: int = 1) -> bool:
-    """Whether ``value`` is a nonempty sequence of integers of at least ``least``."""
-    return len(value) > 0 and all(_integer(v, least) for v in value)
+    """Whether ``value`` is a nonempty tuple or list of integers of at least ``least``."""
+    return (isinstance(value, (tuple, list)) and len(value) > 0
+            and all(_integer(v, least) for v in value))
 
 
 def _number(value) -> bool:
@@ -426,7 +428,7 @@ EXPERIMENT_FIELDS: dict[str, Option] = {
     "replications": _COUNT,
     "master_seed": Option("an integer >= 0", int, lambda v: _integer(v, 0)),
     "theta_eval_points": _COUNT,
-    "record_timing": Option("true, false, yes, no, on, off, 1 or 0",
+    "record_timing": Option("a bool (in a file: true, false, yes, no, on, off, 1 or 0)",
                             lambda raw: configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower()),
                             lambda v: isinstance(v, bool)),
     "evaluation": Option("train or fresh", words={"train": "train", "fresh": "fresh"}),
@@ -501,7 +503,8 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+        # The message itself: a KeyError's str() is its message's repr, in quotes.
+        raise ConfigError(f"bad config value: {exc.args[0] if exc.args else exc}") from exc
     # A key that the config's mode never reads is an error even at its default.
     modes = config.modes()
     for key in exp:
@@ -565,12 +568,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full sweep and fold its fit records into per-cell error statistics.
 
     Fit failures (:class:`~sievesim.estimators.FitError`) invalidate single
-    replications and the run continues; any other exception aborts with the
-    failing cell identified.  Slopes are fitted per estimator to
-    ``log(mean_abs_error)`` against ``log(n * m)`` when at least three cells
-    are valid; otherwise the slope is omitted.  A warning names each failed fit
-    and each cell left out of a slope fit, and, in a sweep of three or more
-    cells, each estimator left without a slope.
+    replications and the run continues; any other exception aborts once the
+    running cells finish, with the failing cell identified.  Slopes are fitted
+    per estimator to ``log(mean_abs_error)`` against ``log(n * m)`` when at
+    least three cells are valid; otherwise the slope is omitted.  A warning
+    names each failed fit and each cell left out of a slope fit, and, in a
+    sweep of three or more cells, each estimator left without a slope.
     """
     workers = _worker_count()
     cells = config.cells()
@@ -606,21 +609,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return out
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda sr: run_cell(*sr), jobs))
-    else:
-        batches = [run_cell(si, r) for si, r in jobs]
+    # numpy's error state is per thread, so each worker starts from the caller's.
+    with ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr())) as pool:
+        batches = list(pool.map(lambda sr: run_cell(*sr), jobs))
     records = tuple(record for batch in batches for record in batch)
 
-    runs: dict[tuple[str, int], list[FitRecord]] = {}
-    for record in records:
-        runs.setdefault((record.estimator, record.size_index), []).append(record)
     warnings = [record.failure for record in records if record.failure]
     stats: list[CellStats] = []
     for setting in config.estimators:
         for si, (n, m) in enumerate(cells):
-            cell_runs = runs[setting.name, si]
+            cell_runs = [run for run in records
+                         if run.estimator == setting.name and run.size_index == si]
             vals = [run.error for run in cell_runs if run.error is not None]
             if vals:
                 mean = float(np.mean(vals))

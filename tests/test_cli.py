@@ -147,6 +147,14 @@ def test_rates_rejects_bad_experiment_values_before_printing(body, key, tmp_path
     assert err.startswith("error: ") and key in err
 
 
+def test_unknown_eta_error_line_is_the_message(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(BASE + "eta = bogus\n[estimator krr]\n")
+    assert main(["rates", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("error: bad config value: unknown eta 'bogus'; "
+                                       "registered names: ['exp_clipped', 'identity', 'square']\n")
+
+
 class TestSlopeCommand:
     def test_matches_run_experiment(self, capsys):
         result = run_experiment(parse_config(GOLDEN_CONFIG))

@@ -207,7 +207,7 @@ class TestParseConfig:
         # Only a field whose default is None may be None, and record_timing is a bool.
         ("sigma", None), ("replications", None), ("centers", None), ("m", None),
         ("master_seed", None), ("evaluation", None), ("beta", None), ("record_timing", "false"),
-        ("record_timing", 1), ("sigma", "1.0"), ("smoothness", "2"),
+        ("record_timing", 1), ("sigma", "1.0"), ("smoothness", "2"), ("sizes", 5),
     ])
     def test_replace_applies_the_same_range_rule(self, tmp_path, field, value):
         config = parse_config(write_config(tmp_path, TINY))
@@ -419,7 +419,11 @@ lambda = 1e-10
         bound = 3.0 * sd / math.sqrt(512) + 3.0 * sd / math.sqrt(200_000)
         assert result.cells[0].mean_abs_error <= bound
 
-    def test_fit_failures_invalidate_cells_not_runs(self, tmp_path):
+    # Every worker starts from the caller's np.errstate, so the overflows count as
+    # failed fits at any worker count, also under -W error.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fit_failures_invalidate_cells_not_runs(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("SIEVESIM_THREADS", threads)
         body = TINY + """\
 [estimator exploding]
 kind = relu
@@ -438,14 +442,12 @@ max_param = inf
         good = result.get_cell("sample_average", 30)
         assert math.isfinite(good.mean_abs_error)
 
-    # The exploding fits overflow; the filter also reaches the pool threads, which
-    # np.errstate does not.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_records_fold_into_cells_and_warnings(self, tmp_path, monkeypatch):
         body = TINY + ("[estimator exploding]\nkind = relu\nepochs = 10\nlearning_rate = 1e80\n"
                        "max_param = inf\n")
         config = parse_config(write_config(tmp_path, body))
-        result = run_experiment(config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_experiment(config)
         names = [setting.name for setting in config.estimators]
         jobs = [(si, r, name) for si in range(3) for r in range(2) for name in names]
         assert [(record.size_index, record.replication, record.estimator)
@@ -460,7 +462,8 @@ max_param = inf
         assert list(result.warnings[:len(failures)]) == failures
         assert result.get_cell("exploding", 30).replications == 0
         monkeypatch.setenv("SIEVESIM_THREADS", "2")
-        threaded = run_experiment(config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            threaded = run_experiment(config)
         assert ([record._replace(seconds=0.0) for record in threaded.records]
                 == [record._replace(seconds=0.0) for record in result.records])
 
