@@ -31,7 +31,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -42,7 +42,8 @@ from . import estimators as est_mod
 from ._textio import csv_text, read_csv
 from .estimators import FitError, ReluArchitecture, TrainConfig
 from .functionals import FunctionalSpec, evaluate_functional
-from .kernels import DEFAULT_JITTER, KernelSpec, farthest_point_sample, random_subsample
+from .kernels import (DEFAULT_JITTER, KernelSpec, _usable_cpus, farthest_point_sample,
+                      random_subsample)
 from .rates import (
     allocate,
     inducing_count_schedule,
@@ -557,11 +558,11 @@ def simulate_cell(config: ExperimentConfig, surface, size_index: int, replicatio
 
 
 def _worker_count() -> int:
-    """Worker threads from ``SIEVESIM_THREADS`` (default 1), capped at the CPU count."""
+    """Worker threads from ``SIEVESIM_THREADS`` (default 1), capped at the usable CPUs."""
     raw = os.environ.get("SIEVESIM_THREADS", "1")
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ConfigError(f"SIEVESIM_THREADS must be a positive integer, got {raw!r}")
-    return min(int(raw), os.cpu_count() or 1)
+    return min(int(raw), _usable_cpus())
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -610,8 +611,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
     # numpy's error state is per thread, so each worker starts from the caller's.
-    with ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr())) as pool:
-        batches = list(pool.map(lambda sr: run_cell(*sr), jobs))
+    pool = ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr()))
+    try:
+        # One wait for the whole sweep, not one wake-up of this thread per job.
+        futures = [pool.submit(run_cell, si, r) for si, r in jobs]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        batches = [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
     records = tuple(record for batch in batches for record in batch)
 
     warnings = [record.failure for record in records if record.failure]

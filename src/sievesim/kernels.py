@@ -7,11 +7,20 @@ The two workhorse kernels use a dimension-scaled convention on the unit cube:
 
 Matern kernels (``nu`` in {1/2, 3/2, 5/2}) use the standard closed forms with
 a unit lengthscale unless overridden.  All kernels satisfy ``k(x, x) = 1``.
+
+A kernel matrix is filled in row blocks of about ``_BLOCK_ENTRIES`` entries.
+A matrix of more than one block spreads its blocks over one per-process pool
+of threads, one per usable CPU, created on first use; every entry goes
+through the same operations either way, so the bits do not depend on the
+pool size.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,25 +119,91 @@ def _check_dim(spec: KernelSpec, pts: np.ndarray, label: str) -> None:
         raise ValueError(f"{label} contains non-finite coordinates")
 
 
-def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
-    """Cross-kernel matrix ``K[i, j] = k(a_i, b_j)`` without jitter."""
+# Entries per row block (4 MB of float64): small enough to stay near the
+# cache, large enough that handing a block to a thread costs little.
+_BLOCK_ENTRIES = 2**19
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or the CPU count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="sievesim-kernel")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads; it builds a pool of its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _fill_rows(spec: KernelSpec, pa: np.ndarray, pb: np.ndarray, out: np.ndarray) -> None:
+    """Write ``k(pa_i, pb_j)`` into ``out`` in place; pool threads call only this."""
+    if spec.family in ("laplace", "gaussian"):
+        # x / -d rounds to exactly -(x / d), so the bits equal exp(-dist / d).
+        cdist(pa, pb, "euclidean" if spec.family == "laplace" else "sqeuclidean", out=out)
+        np.divide(out, -spec.dim, out=out)
+        np.exp(out, out=out)
+        return
+    cdist(pa, pb, out=out)
+    out /= spec.lengthscale  # r
+    if spec.nu == 0.5:
+        np.exp(np.negative(out, out=out), out=out)
+        return
+    out *= math.sqrt(3.0) if spec.nu == 1.5 else math.sqrt(5.0)  # t = sqrt(2 nu) r
+    decay = np.exp(-out)
+    poly = 1.0 + out if spec.nu == 1.5 else 1.0 + out + out * out / 3.0
+    np.multiply(poly, decay, out=out)
+
+
+def _fill_block(spec, pa, pb, out, errstate) -> None:
+    # numpy's error state is per thread, so each block runs under the caller's.
+    with np.errstate(**errstate):
+        _fill_rows(spec, pa, pb, out)
+
+
+def kernel_matrix(spec: KernelSpec, a, b, out: np.ndarray | None = None) -> np.ndarray:
+    """Cross-kernel matrix ``K[i, j] = k(a_i, b_j)`` without jitter.
+
+    ``out``, if given, is a C-contiguous float64 array of shape
+    ``(len(a), len(b))`` that receives the matrix and is returned.
+    """
     pa, pb = as_points(a), as_points(b)
     _check_dim(spec, pa, "first point set")
     _check_dim(spec, pb, "second point set")
-    if spec.family in ("laplace", "gaussian"):
-        # In cdist's own buffer: x / -d rounds to exactly -(x / d), so the
-        # bits equal exp(-dist / d) while only one matrix is held.
-        out = cdist(pa, pb, "euclidean" if spec.family == "laplace" else "sqeuclidean")
-        np.divide(out, -spec.dim, out=out)
-        return np.exp(out, out=out)
-    r = cdist(pa, pb) / spec.lengthscale
-    if spec.nu == 0.5:
-        return np.exp(-r)
-    if spec.nu == 1.5:
-        t = math.sqrt(3.0) * r
-        return (1.0 + t) * np.exp(-t)
-    t = math.sqrt(5.0) * r
-    return (1.0 + t + t * t / 3.0) * np.exp(-t)
+    shape = (pa.shape[0], pb.shape[0])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    rows = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
+    if shape[0] <= rows:
+        _fill_rows(spec, pa, pb, out)
+        return out
+    pool, errstate = _block_pool(), np.geterr()
+    blocks = [pool.submit(_fill_block, spec, pa[i : i + rows], pb, out[i : i + rows], errstate)
+              for i in range(0, shape[0], rows)]
+    # Every block ends before any error is raised, so none writes to out afterwards.
+    wait(blocks)
+    for block in blocks:
+        block.result()
+    return out
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:

@@ -130,12 +130,25 @@ def eval_f(f: TestFunction, x) -> np.ndarray:
     """
     pts = as_points(x)
     out = np.empty(pts.shape[0])
-    scale = 1.0 / f.coefficients.size
+    buffer = _chunk_buffer(f, pts.shape[0])
     for start in range(0, pts.shape[0], _EVAL_CHUNK):
-        block = pts[start : start + _EVAL_CHUNK]
-        out[start : start + _EVAL_CHUNK] = kernel_matrix(f.kernel, block, f.centers) @ f.coefficients
-        out[start : start + _EVAL_CHUNK] *= scale
+        _eval_chunk(f, pts[start : start + _EVAL_CHUNK], buffer, out[start : start + _EVAL_CHUNK])
     return out
+
+
+def _chunk_buffer(f: TestFunction, rows: int) -> np.ndarray:
+    # One kernel buffer per evaluating call, so concurrent calls share none.
+    return np.empty((min(rows, _EVAL_CHUNK), f.coefficients.size))
+
+
+def _eval_chunk(f: TestFunction, block: np.ndarray, buffer: np.ndarray, out: np.ndarray) -> None:
+    """Write the surface at the rows of ``block`` (at most one chunk) into ``out``.
+
+    The kernel matrix goes into ``buffer``; the product stays one GEMV per
+    chunk, because a different split of the rows can change its bits.
+    """
+    out[:] = kernel_matrix(f.kernel, block, f.centers, out=buffer[: block.shape[0]]) @ f.coefficients
+    out *= 1.0 / f.coefficients.size
 
 
 def simulate_outer(count: int, dim: int, seed=0) -> np.ndarray:
@@ -187,9 +200,10 @@ def true_theta(
         raise ValueError(f"eval_points must be >= 1, got {eval_points}")
     rng = np.random.default_rng(seed)
     values = np.empty(eval_points)
+    buffer = _chunk_buffer(f, eval_points)
     for start in range(0, eval_points, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, eval_points)
-        values[start:stop] = eval_f(f, rng.random((stop - start, f.dim)))
+        _eval_chunk(f, rng.random((stop - start, f.dim)), buffer, values[start:stop])
     return ThetaOracle(
         functional=functional,
         value=evaluate_functional(values, functional),

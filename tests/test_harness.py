@@ -1,7 +1,8 @@
 import configparser
 import dataclasses
 import math
-import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sievesim import harness
+from sievesim import estimators, harness
 from sievesim.estimators import ReluArchitecture, TrainConfig, fit_krr
 from sievesim.functionals import FunctionalSpec, evaluate_functional
 from sievesim.harness import (
@@ -34,7 +35,7 @@ from sievesim.harness import (
     simulate_cell,
     slopes_from_cells,
 )
-from sievesim.kernels import KernelSpec
+from sievesim.kernels import KernelSpec, _usable_cpus
 from sievesim.synthetic import true_theta
 
 DATA = Path(__file__).parent / "data"
@@ -344,11 +345,44 @@ class TestRunExperiment:
 
     def test_thread_count_is_capped_without_starting_threads(self, monkeypatch):
         monkeypatch.setenv("SIEVESIM_THREADS", str(10**6))
-        assert _worker_count() == (os.cpu_count() or 1)
+        assert _worker_count() == _usable_cpus()
         monkeypatch.setenv("SIEVESIM_THREADS", "1")
         assert _worker_count() == 1
         monkeypatch.delenv("SIEVESIM_THREADS")
         assert _worker_count() == 1
+
+    def test_thread_count_is_capped_at_the_usable_cpus(self, monkeypatch):
+        # The CPUs this process may run on, not every CPU of the machine.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setenv("SIEVESIM_THREADS", "2")
+        assert _worker_count() == 2
+        monkeypatch.setenv("SIEVESIM_THREADS", "64")
+        assert _worker_count() == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_aborting_fit_cancels_the_queued_cells(self, tmp_path, monkeypatch, threads):
+        # The first fit aborts the run; each other fit takes 20 ms, so the 40 cells
+        # would take most of a second if the queued ones were not cancelled.
+        monkeypatch.setenv("SIEVESIM_THREADS", threads)
+        config = parse_config(write_config(
+            tmp_path, TINY.replace("replications = 2", "replications = 40")
+                          .replace("sizes = 30 60 120", "sizes = 30")
+                          .replace("[estimator krr]\n", "")))
+        calls, lock, fit = [], threading.Lock(), estimators.fit_sample_average
+
+        def fit_or_abort(data):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                raise ValueError("abort")
+            time.sleep(0.02)
+            return fit(data)
+
+        monkeypatch.setattr(estimators, "fit_sample_average", fit_or_abort)
+        with pytest.raises(RuntimeError, match="failed at n=30"):
+            run_experiment(config)
+        assert len(calls) < 10
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2), st.data())

@@ -1,8 +1,13 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
+from sievesim import kernels
 from sievesim.kernels import (
     KernelSpec,
     eval_kernel,
@@ -145,6 +150,94 @@ class TestGram:
         plain = gram(spec, pts, jitter=0.0)
         jittered = gram(spec, pts, jitter=1e-6)
         assert_allclose(jittered - plain, 1e-6 * np.eye(8), atol=1e-18)
+
+
+BLOCK_SPECS = [
+    KernelSpec.laplace(4), KernelSpec.gaussian(4), KernelSpec.matern(4, nu=0.5),
+    KernelSpec.matern(4, nu=1.5, lengthscale=0.3), KernelSpec.matern(4, nu=2.5, lengthscale=2.0),
+]
+
+
+class TestBlockedKernelMatrix:
+    # With blocks of 64 entries, 4 columns make blocks of 16 rows and 100
+    # columns blocks of one row.
+    @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda spec: f"{spec.family}-{spec.nu}")
+    @pytest.mark.parametrize("rows,cols", [(1, 100), (9, 100), (48, 4), (50, 4)],
+                             ids=["one-row", "one-row-blocks", "exact-multiple", "ragged"])
+    def test_pooled_blocks_equal_one_block(self, monkeypatch, spec, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        a, b = rng.random((rows, 4)), rng.random((cols, 4))
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows * cols)
+        whole = kernel_matrix(spec, a, b)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 64)
+        pooled = kernel_matrix(spec, a, b)
+        assert np.array_equal(pooled, whole)
+
+    def test_default_blocks_equal_one_block(self, monkeypatch):
+        # 1,100 rows of 1,000 columns are two full default blocks and a ragged one.
+        rng = np.random.default_rng(20)
+        a, b = rng.random((1100, 10)), rng.random((1000, 10))
+        spec = KernelSpec.laplace(10)
+        pooled = kernel_matrix(spec, a, b)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", a.shape[0] * b.shape[0])
+        assert np.array_equal(pooled, kernel_matrix(spec, a, b))
+
+    def test_out_receives_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 8)
+        rng = np.random.default_rng(21)
+        a, b = rng.random((7, 2)), rng.random((3, 2))
+        spec = KernelSpec.gaussian(2)
+        buffer = np.full((7, 3), np.nan)
+        assert kernel_matrix(spec, a, b, out=buffer) is buffer
+        assert np.array_equal(buffer, kernel_matrix(spec, a, b))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 3)), np.empty((3, 4), dtype=np.float32), np.empty((3, 8))[:, ::2],
+        np.empty((4, 3)).T,
+    ], ids=["shape", "dtype", "strided", "fortran"])
+    def test_out_must_fit_the_matrix(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            kernel_matrix(KernelSpec.gaussian(2), np.zeros((3, 2)), np.ones((4, 2)), out=out)
+
+    @pytest.mark.parametrize("block_entries", [None, 8], ids=["inline", "pooled"])
+    def test_blocks_run_under_the_callers_error_state(self, monkeypatch, block_entries):
+        # Every distance over 5e-324 overflows; numpy's error state is per thread.
+        if block_entries:
+            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+        spec = KernelSpec.matern(2, nu=1.5, lengthscale=5e-324)
+        rng = np.random.default_rng(22)
+        a, b = rng.random((20, 2)), rng.random((4, 2))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            kernel_matrix(spec, a, b)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # Python 3.12 warns on any fork of a process with threads; this test forks one on purpose.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_builds_blocks_on_a_pool_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 64)
+        rng = np.random.default_rng(23)
+        a, b = rng.random((40, 3)), rng.random((8, 3))
+        spec = KernelSpec.laplace(3)
+        expected = kernel_matrix(spec, a, b)
+        assert kernels._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(kernel_matrix(spec, a, b), expected) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on a multi-block kernel matrix")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestRkhsNorm:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sievesim import synthetic
+from sievesim import kernels, synthetic
 from sievesim.functionals import FunctionalSpec
-from sievesim.kernels import KernelSpec, eval_kernel, rkhs_norm_sq
+from sievesim.kernels import KernelSpec, eval_kernel, kernel_matrix, rkhs_norm_sq
 from sievesim.synthetic import (
     load_dataset,
     load_test_function,
@@ -95,6 +95,18 @@ class TestEvaluation:
         out = f(x)
         assert_allclose(out[:100], f(x[:100]), rtol=0, atol=0)
         assert_allclose(out[-100:], f(x[-100:]), rtol=0, atol=0)
+
+    @pytest.mark.parametrize("block_entries", [64, 10**12], ids=["pooled", "inline"])
+    def test_reused_chunk_buffer_keeps_fresh_matrix_bits(self, monkeypatch, block_entries):
+        # Each chunk is one fresh kernel matrix times the coefficients, then scaled.
+        spec = KernelSpec.laplace(3)
+        f = make_test_function(spec, n_centers=60, seed=15)
+        x = np.random.default_rng(16).random((10_050, 3))
+        expected = np.concatenate([kernel_matrix(spec, x[:10_000], f.centers) @ f.coefficients,
+                                   kernel_matrix(spec, x[10_000:], f.centers) @ f.coefficients])
+        expected *= 1.0 / 60
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+        assert np.array_equal(f(x), expected)
 
     def test_wrong_dimension_raises(self):
         f = make_test_function(KernelSpec.gaussian(3), n_centers=4, seed=14)
