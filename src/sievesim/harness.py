@@ -16,10 +16,12 @@ reproduced in isolation and replications may run concurrently:
 * estimator ``ei`` auxiliary draws (initialization, batching, inducing-point
   selection): ``(master, 3, si, r, ei)``
 * fresh evaluation points (optional mode): ``(master, 4, si, r)``
+* ``lambda = cv`` folds: seed 0 in every cell, not the estimator stream above
 
 Every sweep fits its (size, replication) jobs on a pool of ``SIEVESIM_THREADS`` threads
-(default 1), each under the caller's numpy error state, with the same output at any
-count; an error that aborts the run stops it once the running jobs finish.
+(default 1), with the same output at any count, through ``kernels._run_all``: each job
+runs under the caller's numpy error state, and the first error that aborts the run
+cancels the queued jobs and is raised after the running ones end.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -42,8 +44,8 @@ from . import estimators as est_mod
 from ._textio import csv_text, read_csv
 from .estimators import FitError, ReluArchitecture, TrainConfig
 from .functionals import FunctionalSpec, evaluate_functional
-from .kernels import (DEFAULT_JITTER, KernelSpec, _usable_cpus, farthest_point_sample,
-                      random_subsample)
+from .kernels import (DEFAULT_JITTER, KernelSpec, _run_all, _usable_cpus,
+                      farthest_point_sample, random_subsample)
 from .rates import (
     allocate,
     inducing_count_schedule,
@@ -340,7 +342,7 @@ def _fit_krr(options, data, kernel, seed):
     if lam == "default":
         lam = est_mod.default_regularization(kernel, data.n)
     elif lam == "cv":
-        lam = est_mod.cross_validate_regularization(data, kernel)
+        lam = est_mod.cross_validate_regularization(data, kernel, jitter=options["jitter"])
     return est_mod.fit_krr(data, kernel, lam, jitter=options["jitter"])
 
 
@@ -610,15 +612,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return out
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
-    # numpy's error state is per thread, so each worker starts from the caller's.
-    pool = ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr()))
-    try:
-        # One wait for the whole sweep, not one wake-up of this thread per job.
-        futures = [pool.submit(run_cell, si, r) for si, r in jobs]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        batches = [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(workers) as pool:
+        batches = _run_all(pool, run_cell, jobs)
     records = tuple(record for batch in batches for record in batch)
 
     warnings = [record.failure for record in records if record.failure]

@@ -9,18 +9,19 @@ Matern kernels (``nu`` in {1/2, 3/2, 5/2}) use the standard closed forms with
 a unit lengthscale unless overridden.  All kernels satisfy ``k(x, x) = 1``.
 
 A kernel matrix is filled in row blocks of about ``_BLOCK_ENTRIES`` entries.
-A matrix of more than one block spreads its blocks over one per-process pool
-of threads, one per usable CPU, created on first use; every entry goes
-through the same operations either way, so the bits do not depend on the
-pool size.
+A matrix of more than one block spreads them over one per-process pool of
+threads, one per usable CPU, with the same bits at any pool size.  The pool is
+built at import, starts its threads on first use, and is rebuilt in a forked
+child.  Its blocks and the harness's sweep jobs run through ``_run_all``: each
+task runs under the caller's numpy error state, and the first error cancels
+the queued tasks and is raised after the running ones end.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +124,6 @@ def _check_dim(spec: KernelSpec, pts: np.ndarray, label: str) -> None:
 # cache, large enough that handing a block to a thread costs little.
 _BLOCK_ENTRIES = 2**19
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
 
 def _usable_cpus() -> int:
     """CPUs this process may run on, or the CPU count where affinity is unknown."""
@@ -135,22 +133,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="sievesim-kernel")
-        return _pool
-
-
-def _forget_pool() -> None:
+def _new_pool() -> None:
     # A forked child has none of its parent's threads; it builds a pool of its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    global _pool
+    _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="sievesim-kernel")
 
 
+_new_pool()  # no thread starts before the first task
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _run_all(pool: ThreadPoolExecutor, fn, tasks) -> list:
+    """``[fn(*task) for task in tasks]``, run on ``pool`` by the rule in the module docstring."""
+    errstate = np.geterr()  # numpy's error state is per thread
+
+    def run(task):
+        with np.errstate(**errstate):
+            return fn(*task)
+
+    futures = [pool.submit(run, task) for task in tasks]
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)  # one wake-up, not one per task
+        return [future.result() for future in futures]
+    finally:
+        # No task outlives the call: the queued ones are cancelled, the running ones awaited.
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _fill_rows(spec: KernelSpec, pa: np.ndarray, pb: np.ndarray, out: np.ndarray) -> None:
@@ -172,12 +182,6 @@ def _fill_rows(spec: KernelSpec, pa: np.ndarray, pb: np.ndarray, out: np.ndarray
     np.multiply(poly, decay, out=out)
 
 
-def _fill_block(spec, pa, pb, out, errstate) -> None:
-    # numpy's error state is per thread, so each block runs under the caller's.
-    with np.errstate(**errstate):
-        _fill_rows(spec, pa, pb, out)
-
-
 def kernel_matrix(spec: KernelSpec, a, b, out: np.ndarray | None = None) -> np.ndarray:
     """Cross-kernel matrix ``K[i, j] = k(a_i, b_j)`` without jitter.
 
@@ -195,14 +199,9 @@ def kernel_matrix(spec: KernelSpec, a, b, out: np.ndarray | None = None) -> np.n
     rows = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
     if shape[0] <= rows:
         _fill_rows(spec, pa, pb, out)
-        return out
-    pool, errstate = _block_pool(), np.geterr()
-    blocks = [pool.submit(_fill_block, spec, pa[i : i + rows], pb, out[i : i + rows], errstate)
-              for i in range(0, shape[0], rows)]
-    # Every block ends before any error is raised, so none writes to out afterwards.
-    wait(blocks)
-    for block in blocks:
-        block.result()
+    else:
+        _run_all(_pool, _fill_rows, [(spec, pa[i : i + rows], pb, out[i : i + rows])
+                                     for i in range(0, shape[0], rows)])
     return out
 
 

@@ -384,6 +384,19 @@ class TestRunExperiment:
             run_experiment(config)
         assert len(calls) < 10
 
+    def test_cv_scores_folds_at_the_configured_jitter(self, tmp_path, monkeypatch):
+        config = parse_config(write_config(tmp_path, TINY.replace(
+            "[estimator krr]\n", "[estimator krr]\nlambda = cv\njitter = 1e-3\n")))
+        jitters, cross_validate = [], estimators.cross_validate_regularization
+
+        def spy(data, spec, **options):
+            jitters.append(options.get("jitter"))
+            return cross_validate(data, spec, **options)
+
+        monkeypatch.setattr(estimators, "cross_validate_regularization", spy)
+        run_experiment(config)
+        assert jitters == [1e-3] * 6
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2), st.data())
     def test_replication_data_isolated_by_seed(self, total_a, total_b, size_index, data):

@@ -1,6 +1,8 @@
 import os
 import signal
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -210,6 +212,30 @@ class TestBlockedKernelMatrix:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             kernel_matrix(spec, a, b)
 
+    def test_failing_block_cancels_the_queued_ones(self, monkeypatch):
+        # 800 rows of 2 columns in blocks of 8 entries are 200 blocks of 4 rows; the
+        # first block raises, and each other takes 5 ms.
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 8)
+        started, finished, lock = [], [], threading.Lock()
+
+        def fill_or_fail(spec, pa, pb, out):
+            with lock:
+                started.append(None)
+                first = len(started) == 1
+            if first:
+                raise ValueError("block failed")
+            time.sleep(0.005)
+            finished.append(None)
+
+        monkeypatch.setattr(kernels, "_fill_rows", fill_or_fail)
+        with pytest.raises(ValueError, match="block failed"):
+            kernel_matrix(KernelSpec.laplace(2), np.zeros((800, 2)), np.ones((2, 2)))
+        ran = len(started)
+        assert ran < 100
+        assert len(finished) == ran - 1  # every started block ended before the raise
+        time.sleep(0.05)
+        assert len(started) == ran
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     # Python 3.12 warns on any fork of a process with threads; this test forks one on purpose.
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -346,3 +372,19 @@ class TestRandomSubsample:
         pts = rng.random((4, 2))
         with pytest.raises(ValueError):
             random_subsample(pts, 5, seed=0)
+
+
+def test_run_all_returns_results_in_task_order():
+    # Each task sleeps 30 ms less than the one before it, so later tasks finish first.
+    done, lock = [], threading.Lock()
+
+    def square(i, delay):
+        time.sleep(delay)
+        with lock:
+            done.append(i)
+        return i * i
+
+    with ThreadPoolExecutor(4) as pool:
+        results = kernels._run_all(pool, square, [(i, 0.03 * (4 - i)) for i in range(4)])
+    assert done == [3, 2, 1, 0]
+    assert results == [0, 1, 4, 9]
