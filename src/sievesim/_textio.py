@@ -5,7 +5,9 @@ reading a file back reproduces its numbers bit for bit:
 
 * columnar files (test functions, datasets, fitted estimators): a
   ``# sievesim <kind> v1`` line, one ``# key=value ...`` header line, a
-  ``# columns: ...`` comment, then one whitespace-separated row per record;
+  ``# columns: ...`` comment, then one whitespace-separated row per record; a
+  header with a ``dim`` and a row count (``n`` or ``n_centers``) needs exactly
+  that many rows of ``dim + 1`` columns to load;
 * result tables: comma-separated rows of a dataclass's fields under a header
   naming them.
 """
@@ -59,7 +61,8 @@ def write_table(path, kind: str, fields: dict, columns: str, table) -> None:
 
 
 def read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:
-    """Header fields (as text) and the numeric rows of a columnar file."""
+    """Header fields (as text) and the numeric rows of a columnar file; a body
+    that breaks the row rule in the module docstring raises ``ValueError``."""
     with open(path) as fh:
         first = fh.readline()
         if f"{kind} v1" not in first:
@@ -67,7 +70,14 @@ def read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:
         tokens = fh.readline().lstrip("#").split()
         fh.readline()  # column comment
         fields = dict(t.split("=", 1) for t in tokens if "=" in t)
-        return fields, np.loadtxt(fh, ndmin=2)
+        data = np.loadtxt(fh, ndmin=2)
+    rows = fields.get("n", fields.get("n_centers"))
+    if rows is not None and "dim" in fields:
+        shape = (int(rows), int(fields["dim"]) + 1)
+        if data.shape != shape:
+            raise ValueError(f"{path}: the header gives {shape[0]} rows of {shape[1]} columns, "
+                             f"the body has {data.shape[0]} rows of {data.shape[1]}")
+    return fields, data
 
 
 def csv_text(cls, rows) -> str:

@@ -30,10 +30,8 @@ ETA_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def resolve_eta(eta) -> Callable[[np.ndarray], np.ndarray]:
-    """Look up a registered eta by name, or pass a callable through."""
-    if callable(eta):
-        return eta
+def resolve_eta(eta: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Look up a registered eta by name."""
     try:
         return ETA_REGISTRY[eta]
     except KeyError:
@@ -77,13 +75,13 @@ def var_estimate(values, tau: float) -> float:
 class FunctionalSpec:
     """Which functional to apply, with its parameter.
 
-    ``kind`` is ``"nested_expectation"`` (parameter ``eta``, a registry name
-    or callable, ``"square"`` when omitted) or ``"var"`` (parameter ``tau``).
+    ``kind`` is ``"nested_expectation"`` (parameter ``eta``, a registry name,
+    ``"square"`` when omitted) or ``"var"`` (parameter ``tau``).
     Setting the parameter the kind does not read is an error.
     """
 
     kind: str
-    eta: object = None
+    eta: str | None = None
     tau: float | None = None
 
     def __post_init__(self):

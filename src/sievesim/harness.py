@@ -663,7 +663,8 @@ def emit_results(result: ExperimentResult, fmt: str = "csv", path="results.csv")
 
     CSV columns are fixed; floats carry 17 significant digits so parsing the
     file back reproduces them bit for bit.  JSON mirrors the same fields in
-    one document.  Returns the paths written.
+    one document, with a non-finite float (a cell with no fitted replication)
+    as ``null``, since JSON has no NaN.  Returns the paths written.
     """
     path = Path(path)
     if fmt == "csv":
@@ -672,11 +673,16 @@ def emit_results(result: ExperimentResult, fmt: str = "csv", path="results.csv")
         slope_path.write_text(csv_text(SlopeFit, result.slopes), newline="\n")
         return [path, slope_path]
     if fmt == "json":
-        doc = {"cells": [dataclasses.asdict(c) for c in result.cells],
-               "slopes": [dataclasses.asdict(s) for s in result.slopes]}
-        path.write_text(json.dumps(doc, indent=2) + "\n", newline="\n")
+        doc = {"cells": [_json_fields(c) for c in result.cells],
+               "slopes": [_json_fields(s) for s in result.slopes]}
+        path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", newline="\n")
         return [path]
     raise ValueError(f"unknown output format {fmt!r}")
+
+
+def _json_fields(row) -> dict:
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in dataclasses.asdict(row).items()}
 
 
 def parse_results_csv(path) -> list[CellStats]:

@@ -7,6 +7,8 @@ The two workhorse kernels use a dimension-scaled convention on the unit cube:
 
 Matern kernels (``nu`` in {1/2, 3/2, 5/2}) use the standard closed forms with
 a unit lengthscale unless overridden.  All kernels satisfy ``k(x, x) = 1``.
+Laplace is Matern 1/2 at lengthscale ``d``, so it, Gaussian (squared distance
+over ``d``) and Matern 1/2 share one formula, ``exp(-r / s)``.
 
 A kernel matrix is filled in row blocks of about ``_BLOCK_ENTRIES`` entries.
 A matrix of more than one block spreads them over one per-process pool of
@@ -165,20 +167,16 @@ def _run_all(pool: ThreadPoolExecutor, fn, tasks) -> list:
 
 def _fill_rows(spec: KernelSpec, pa: np.ndarray, pb: np.ndarray, out: np.ndarray) -> None:
     """Write ``k(pa_i, pb_j)`` into ``out`` in place; pool threads call only this."""
-    if spec.family in ("laplace", "gaussian"):
-        # x / -d rounds to exactly -(x / d), so the bits equal exp(-dist / d).
-        cdist(pa, pb, "euclidean" if spec.family == "laplace" else "sqeuclidean", out=out)
-        np.divide(out, -spec.dim, out=out)
+    cdist(pa, pb, "sqeuclidean" if spec.family == "gaussian" else "euclidean", out=out)
+    # x / -s rounds to exactly -(x / s), and negation is exact, so each entry has
+    # the bits of the closed form written with a positive r / s.
+    np.divide(out, -(spec.lengthscale if spec.family == "matern" else spec.dim), out=out)
+    if spec.family != "matern" or spec.nu == 0.5:
         np.exp(out, out=out)
         return
-    cdist(pa, pb, out=out)
-    out /= spec.lengthscale  # r
-    if spec.nu == 0.5:
-        np.exp(np.negative(out, out=out), out=out)
-        return
-    out *= math.sqrt(3.0) if spec.nu == 1.5 else math.sqrt(5.0)  # t = sqrt(2 nu) r
-    decay = np.exp(-out)
-    poly = 1.0 + out if spec.nu == 1.5 else 1.0 + out + out * out / 3.0
+    out *= math.sqrt(3.0) if spec.nu == 1.5 else math.sqrt(5.0)  # -t, t = sqrt(2 nu) r
+    decay = np.exp(out)
+    poly = 1.0 - out if spec.nu == 1.5 else 1.0 - out + out * out / 3.0
     np.multiply(poly, decay, out=out)
 
 

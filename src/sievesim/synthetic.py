@@ -129,26 +129,23 @@ def eval_f(f: TestFunction, x) -> np.ndarray:
     Points of the wrong dimension raise ``ValueError`` (from ``kernel_matrix``).
     """
     pts = as_points(x)
-    out = np.empty(pts.shape[0])
-    buffer = _chunk_buffer(f, pts.shape[0])
-    for start in range(0, pts.shape[0], _EVAL_CHUNK):
-        _eval_chunk(f, pts[start : start + _EVAL_CHUNK], buffer, out[start : start + _EVAL_CHUNK])
-    return out
+    return _evaluate(f, pts.shape[0], lambda start, stop: pts[start:stop])
 
 
-def _chunk_buffer(f: TestFunction, rows: int) -> np.ndarray:
-    # One kernel buffer per evaluating call, so concurrent calls share none.
-    return np.empty((min(rows, _EVAL_CHUNK), f.coefficients.size))
+def _evaluate(f: TestFunction, count: int, rows) -> np.ndarray:
+    """The surface at ``count`` points, read chunk by chunk as ``rows(start, stop)``.
 
-
-def _eval_chunk(f: TestFunction, block: np.ndarray, buffer: np.ndarray, out: np.ndarray) -> None:
-    """Write the surface at the rows of ``block`` (at most one chunk) into ``out``.
-
-    The kernel matrix goes into ``buffer``; the product stays one GEMV per
-    chunk, because a different split of the rows can change its bits.
+    Each call has its own kernel buffer, so concurrent calls share none.  The
+    product stays one GEMV per chunk: a different split of rows can change its bits.
     """
-    out[:] = kernel_matrix(f.kernel, block, f.centers, out=buffer[: block.shape[0]]) @ f.coefficients
+    out = np.empty(count)
+    buffer = np.empty((min(count, _EVAL_CHUNK), f.coefficients.size))
+    for start in range(0, count, _EVAL_CHUNK):
+        stop = min(start + _EVAL_CHUNK, count)
+        block = kernel_matrix(f.kernel, rows(start, stop), f.centers, out=buffer[: stop - start])
+        out[start:stop] = block @ f.coefficients
     out *= 1.0 / f.coefficients.size
+    return out
 
 
 def simulate_outer(count: int, dim: int, seed=0) -> np.ndarray:
@@ -199,11 +196,7 @@ def true_theta(
     if eval_points < 1:
         raise ValueError(f"eval_points must be >= 1, got {eval_points}")
     rng = np.random.default_rng(seed)
-    values = np.empty(eval_points)
-    buffer = _chunk_buffer(f, eval_points)
-    for start in range(0, eval_points, _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, eval_points)
-        _eval_chunk(f, rng.random((stop - start, f.dim)), buffer, values[start:stop])
+    values = _evaluate(f, eval_points, lambda start, stop: rng.random((stop - start, f.dim)))
     return ThetaOracle(
         functional=functional,
         value=evaluate_functional(values, functional),
@@ -233,12 +226,8 @@ def save_test_function(f: TestFunction, path) -> None:
 
 def load_test_function(path) -> TestFunction:
     fields, data = read_table(path, "test function")
-    kernel = kernel_from_fields(fields)
-    n = int(fields["n_centers"])
-    if data.shape != (n, kernel.dim + 1):
-        raise ValueError(f"expected {n} rows of {kernel.dim + 1} columns, got {data.shape}")
     return TestFunction(
-        kernel=kernel,
+        kernel=kernel_from_fields(fields),
         centers=data[:, :-1],
         coefficients=data[:, -1],
         seed=None if fields["seed"] == "-" else int(fields["seed"]),
@@ -256,9 +245,6 @@ def save_dataset(data: NestedDataset, path) -> None:
 
 def load_dataset(path) -> NestedDataset:
     fields, data = read_table(path, "nested dataset")
-    dim, n = int(fields["dim"]), int(fields["n"])
-    if data.shape != (n, dim + 1):
-        raise ValueError(f"expected {n} rows of {dim + 1} columns, got {data.shape}")
     return NestedDataset(
         scenarios=data[:, :-1],
         ybar=data[:, -1],

@@ -466,6 +466,17 @@ class TestSerialization:
         save_estimator(est, tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == source.read_bytes()
 
+    @pytest.mark.parametrize("kind, shape", [
+        ("sample_average", "6 rows of 3 columns"), ("krr", "6 rows of 3 columns"),
+        ("inducing_krr", "3 rows of 3 columns"), ("relu", "31 parameters"),
+    ])
+    def test_committed_v1_file_without_its_last_row_does_not_load(self, kind, shape, tmp_path):
+        lines = (V1_FILES / f"{kind}.txt").read_text().splitlines(keepends=True)
+        path = tmp_path / "short.txt"
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match=shape):
+            load_estimator(path)
+
     @pytest.mark.parametrize("kind, cls", [("krr", KRREstimator),
                                            ("inducing_krr", InducingKRREstimator)])
     def test_committed_v1_kernel_file_loads_as_its_class(self, kind, cls):

@@ -20,10 +20,6 @@ class TestResolveEta:
         assert resolve_eta("square")(3.0) == 9.0
         assert resolve_eta("identity")(3.0) == 3.0
 
-    def test_callable_passthrough(self):
-        f = lambda z: z + 1
-        assert resolve_eta(f) is f
-
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="exp_clipped"):
             resolve_eta("cube")

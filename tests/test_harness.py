@@ -643,6 +643,26 @@ class TestEmission:
         assert doc["cells"][0]["mean_abs_error"] == result.cells[0].mean_abs_error
         assert doc["slopes"][0]["slope"] == result.slopes[0].slope
 
+    def test_json_writes_non_finite_values_as_null(self, tmp_path):
+        import json
+
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        body = TINY + ("[estimator exploding]\nkind = relu\nepochs = 10\nlearning_rate = 1e80\n"
+                       "max_param = inf\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_experiment(parse_config(write_config(tmp_path, body)))
+        path = tmp_path / "res.json"
+        emit_results(result, fmt="json", path=path)
+        doc = json.loads(path.read_text(), parse_constant=no_constant)
+        bad = [c for c in doc["cells"] if c["estimator"] == "exploding"]
+        assert len(bad) == 3
+        assert all(c["mean_abs_error"] is None and c["std_abs_error"] is None for c in bad)
+        good = [c for c in doc["cells"] if c["estimator"] != "exploding"]
+        assert [c["mean_abs_error"] for c in good] == [
+            c.mean_abs_error for c in result.cells if c.estimator != "exploding"]
+
     def test_golden_bytes(self, tmp_path):
         """The frozen config reproduces the recorded output byte for byte.
 

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import threading
@@ -127,6 +128,23 @@ class TestGram:
         k = kernel_matrix(KernelSpec(family, 6), a, b)
         assert np.array_equal(k, np.exp(-cdist(a, b, metric) / 6))
         assert k.flags.c_contiguous and k.flags.owndata
+
+    @pytest.mark.parametrize("lengthscale", [1.0, 0.7])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_matern_keeps_the_closed_form_bits(self, nu, lengthscale):
+        # Each closed form in the order r = dist / lengthscale, t = sqrt(2 nu) r,
+        # poly(t) * exp(-t).
+        rng = np.random.default_rng(8)
+        a = rng.random((37, 3))
+        b = rng.random((23, 3))
+        r = cdist(a, b) / lengthscale
+        if nu == 0.5:
+            want = np.exp(-r)
+        else:
+            t = r * math.sqrt(3.0 if nu == 1.5 else 5.0)
+            poly = 1.0 + t if nu == 1.5 else 1.0 + t + t * t / 3.0
+            want = poly * np.exp(-t)
+        assert np.array_equal(kernel_matrix(KernelSpec.matern(3, nu, lengthscale), a, b), want)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)

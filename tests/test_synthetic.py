@@ -164,12 +164,14 @@ class TestSimulateInner:
 
 
 class TestTrueTheta:
-    def test_square_is_mean_of_squares(self):
-        # The reference draws its points from the seed as one block.
+    @pytest.mark.parametrize("eval_points", [1000, 25_000])
+    def test_square_is_mean_of_squares(self, eval_points):
+        # The reference draws its points from the seed as one block; 25,000
+        # points span three evaluation chunks.
         f = synthetic.TestFunction(KernelSpec.gaussian(4), np.full((1, 4), 0.5), [3.0])
         oracle = true_theta(f, FunctionalSpec.expectation("square"),
-                            eval_points=1000, seed=30)
-        pts = np.random.default_rng(30).random((1000, 4))
+                            eval_points=eval_points, seed=30)
+        pts = np.random.default_rng(30).random((eval_points, 4))
         assert oracle.value == np.mean(f(pts) ** 2)
 
     def test_median_of_uniform(self):
@@ -249,3 +251,25 @@ class TestSerialization:
         source = V1_FILES / f"{name}.txt"
         save(load(source), tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == source.read_bytes()
+
+    @pytest.mark.parametrize("name, load, shape", [
+        ("test_function_matern", load_test_function, "5 rows of 4 columns"),
+        ("dataset", load_dataset, "6 rows of 3 columns"),
+    ])
+    def test_committed_v1_file_without_its_last_row_does_not_load(self, name, load, shape,
+                                                                  tmp_path):
+        lines = (V1_FILES / f"{name}.txt").read_text().splitlines(keepends=True)
+        path = tmp_path / "short.txt"
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match=shape):
+            load(path)
+
+    def test_header_dim_must_match_the_columns(self, tmp_path):
+        text = (V1_FILES / "dataset.txt").read_text()
+        path = tmp_path / "wide.txt"
+        path.write_text(text.replace("# dim=2 ", "# dim=1 ", 1))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+        assert "6 rows of 2 columns" in str(info.value)
+        assert "6 rows of 3" in str(info.value)
