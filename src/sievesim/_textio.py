@@ -3,11 +3,13 @@
 Every file sievesim writes is text with floats at 17 significant digits, so
 reading a file back reproduces its numbers bit for bit:
 
-* columnar files (test functions, datasets, fitted estimators): a
-  ``# sievesim <kind> v1`` line, one ``# key=value ...`` header line, a
+* columnar files (test functions, datasets, fitted estimators): the exact
+  line ``# sievesim <kind> v1``, one ``# key=value ...`` header line, a
   ``# columns: ...`` comment, then one whitespace-separated row per record; a
   header with a ``dim`` and a row count (``n`` or ``n_centers``) needs exactly
-  that many rows of ``dim + 1`` columns to load;
+  that many rows of ``dim + 1`` columns to load, and a ``relu`` estimator
+  needs one row of one column per parameter that its ``dim`` and ``hidden``
+  give;
 * result tables: comma-separated rows of a dataclass's fields under a header
   naming them.
 """
@@ -64,9 +66,9 @@ def read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:
     """Header fields (as text) and the numeric rows of a columnar file; a body
     that breaks the row rule in the module docstring raises ``ValueError``."""
     with open(path) as fh:
-        first = fh.readline()
-        if f"{kind} v1" not in first:
-            raise ValueError(f"not a sievesim {kind} file: {first.strip()!r}")
+        first = fh.readline().rstrip("\n")
+        if first != f"# sievesim {kind} v1":
+            raise ValueError(f"{path}: not a sievesim {kind} v1 file: {first!r}")
         tokens = fh.readline().lstrip("#").split()
         fh.readline()  # column comment
         fields = dict(t.split("=", 1) for t in tokens if "=" in t)

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from .kernels import DEFAULT_JITTER, KernelSpec, as_points, kernel_matrix
 from .network import ReluNetwork
-from .synthetic import NestedDataset
+from .synthetic import NestedDataset, _evaluate
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 
 __all__ = [
@@ -122,7 +122,9 @@ class KernelExpansion:
         self.fitted_values = fitted_values
 
     def predict(self, x) -> np.ndarray:
-        return kernel_matrix(self.kernel, x, self.points) @ self.weights
+        pts = as_points(x)
+        return _evaluate(self.kernel, self.points, self.weights, pts.shape[0],
+                         lambda start, stop: pts[start:stop])
 
 
 # Each kind binds predict in its own dict: perfbench/spans.py wraps it there by class name.
@@ -569,6 +571,10 @@ def load_estimator(path):
         arch = ReluArchitecture(hidden_widths=widths, sparsity=sparsity,
                                 max_param=float(fields["max_param"]))
         net = ReluNetwork(arch.layer_dims(int(fields["dim"])), seed=0)
+        if data.shape != (net.num_params, 1):
+            raise ValueError(f"{path}: the header's dim={fields['dim']} and hidden="
+                             f"{fields['hidden']} give {net.num_params} parameters, one per "
+                             f"row; the body has {data.shape[0]} rows of {data.shape[1]} columns")
         net.set_param_vector(data.ravel())
         return ReluSieveEstimator(network=net, architecture=arch, meta=meta)
-    raise ValueError(f"unknown estimator kind {kind!r} in file")
+    raise ValueError(f"{path}: unknown estimator kind {kind!r}")

@@ -72,6 +72,88 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed."""
 
 
+# ---------------------------------------------------------------------------
+# Config value rules.  Every estimator option and [experiment] key has one
+# Option, which reads its text and checks a value built in Python.  A bad value
+# is a ConfigError when the config is read or an EstimatorSetting or
+# ExperimentConfig is built, not a failed fit.
+# ---------------------------------------------------------------------------
+
+class Option(NamedTuple):
+    """A config value's rule: its accepted values, the reader and range rule of its
+    text, the keywords it takes with their values, and either an estimator option's
+    default text or the mode that reads an ``[experiment]`` key (one of
+    :meth:`ExperimentConfig.modes`)."""
+
+    accepts: str
+    cast: Callable[[str], object] = str
+    ok: Callable[[object], bool] = lambda value: False
+    words: dict = {}
+    default: str = ""
+    mode: str = ""
+
+    def parse(self, raw: str):
+        """The value of config text: a keyword's value, else the text read by ``cast``
+        if that :meth:`holds`; ValueError if the text is unreadable or out of range."""
+        if raw in self.words:
+            return self.words[raw]
+        value = self.cast(raw)
+        if not self.holds(value):
+            raise ValueError(raw)
+        return value
+
+    def holds(self, value) -> bool:
+        """Whether a value is one this rule accepts."""
+        return value in self.words.values() or self.ok(value)
+
+
+def _parse(section: str, key: str, raw: str, rule: Option):
+    try:
+        return rule.parse(raw)
+    except ValueError:
+        raise ConfigError(f"section [{section}]: bad value {key} = {raw!r}; "
+                          f"expected {rule.accepts}") from None
+
+
+def _integer(value, least: int = 1) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _integers(value, least: int = 1) -> bool:
+    """Whether ``value`` is a nonempty tuple or list of integers of at least ``least``."""
+    return (isinstance(value, (tuple, list)) and len(value) > 0
+            and all(_integer(v, least) for v in value))
+
+
+def _number(value) -> bool:
+    """Whether ``value`` is a real number (not a bool)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _counts(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.replace(",", " ").split())
+
+
+def _nonnegative(value) -> bool:
+    return _number(value) and math.isfinite(value) and value >= 0.0
+
+
+def _positive(value) -> bool:
+    return _number(value) and value > 0.0
+
+
+_COUNT = Option("an integer >= 1", int, _integer)
+_COUNTS = Option("integers >= 1, separated by spaces or commas", _counts, _integers)
+_AUTO_OR_COUNT = Option("auto or an integer >= 1", int, _integer, {"auto": None})
+_PROBABILITY = Option("a number in (0, 1]", float, lambda v: _number(v) and 0.0 < v <= 1.0)
+
+
+def _key(default, rule: Option):
+    """An ``[experiment]`` key's field: its default, with its rule as ``rule`` metadata."""
+    return field(default=default, metadata={"rule": rule})
+
+
 @dataclass(frozen=True)
 class EstimatorSetting:
     """One estimator of the config: a name, a kind of :data:`ESTIMATOR_KINDS` and its parsed
@@ -104,21 +186,29 @@ class ExperimentConfig:
     functional: FunctionalSpec
     kernel: KernelSpec
     estimators: tuple[EstimatorSetting, ...]
-    sizes: tuple[int, ...] | None = None
-    m: int = 1
-    budgets: tuple[int, ...] | None = None
-    allocation: str = "standard"
-    centers: int = 1000
-    sigma: float = 1.0
-    replications: int = 50
-    master_seed: int = 0
-    theta_eval_points: int = 1_000_000
-    record_timing: bool = True
-    evaluation: str = "train"
-    smoothness: float | None = None
-    alpha: float | None = None
-    beta: float = 1.0
-    gamma: float = 1.0
+    sizes: tuple[int, ...] | None = _key(None, _COUNTS)
+    m: int = _key(1, _COUNT._replace(mode="sizes"))
+    budgets: tuple[int, ...] | None = _key(None, Option(
+        "integers >= 8, separated by spaces or commas", _counts, lambda v: _integers(v, 8)))
+    allocation: str = _key("standard", Option(
+        "standard or smooth", words={"standard": "standard", "smooth": "smooth"}, mode="budgets"))
+    centers: int = _key(1000, _COUNT)
+    sigma: float = _key(1.0, Option("a finite number >= 0", float, _nonnegative))
+    replications: int = _key(50, _COUNT)
+    master_seed: int = _key(0, Option("an integer >= 0", int, lambda v: _integer(v, 0)))
+    theta_eval_points: int = _key(1_000_000, _COUNT)
+    record_timing: bool = _key(True, Option(
+        "a bool (in a file: true, false, yes, no, on, off, 1 or 0)",
+        lambda raw: configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower()),
+        lambda v: isinstance(v, bool)))
+    evaluation: str = _key("train", Option(
+        "train or fresh", words={"train": "train", "fresh": "fresh"}))
+    smoothness: float | None = _key(None, Option(
+        "a finite number > 0", float, lambda v: _positive(v) and v < math.inf))
+    alpha: float | None = _key(None, _PROBABILITY._replace(mode="var"))
+    beta: float = _key(1.0, _PROBABILITY._replace(mode="alpha"))
+    gamma: float = _key(1.0, Option("a finite number >= 1", float,
+                                    lambda v: _number(v) and 1.0 <= v < math.inf, mode="alpha"))
 
     def __post_init__(self):
         if (self.sizes is None) == (self.budgets is None):
@@ -159,6 +249,12 @@ class ExperimentConfig:
             alloc = allocate(self.allocation, int(budget))
             out.append((alloc.n, alloc.m))
         return out
+
+
+# Every [experiment] key but the spec keys, named as its ExperimentConfig field; an
+# omitted key keeps its field default.
+EXPERIMENT_FIELDS: dict[str, Option] = {f.name: f.metadata["rule"] for f in
+                                        dataclasses.fields(ExperimentConfig) if f.metadata}
 
 
 @dataclass(frozen=True)
@@ -241,43 +337,8 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
     return slope, intercept, math.sqrt(rss / (k - 2) / sxx)
 
 
-# ---------------------------------------------------------------------------
-# Config value rules and estimator kinds.  Every estimator option and
-# [experiment] key has one Option, which reads its text and checks a value built
-# in Python.  Each sieve the harness runs is one ESTIMATOR_KINDS entry: its
-# options, its fit of one replication, and its predicted rate.  A bad option
-# value is a ConfigError when the config is read or an EstimatorSetting is built,
-# not a failed fit; the setting also fills in defaults.
-# ---------------------------------------------------------------------------
-
-class Option(NamedTuple):
-    """A config value's rule: its accepted values, the reader and range rule of its
-    text, the keywords it takes with their values, and either an estimator option's
-    default text or the mode that reads an ``[experiment]`` key (one of
-    :meth:`ExperimentConfig.modes`)."""
-
-    accepts: str
-    cast: Callable[[str], object] = str
-    ok: Callable[[object], bool] = lambda value: False
-    words: dict = {}
-    default: str = ""
-    mode: str = ""
-
-    def parse(self, raw: str):
-        """The value of config text: a keyword's value, else the text read by ``cast``
-        if that :meth:`holds`; ValueError if the text is unreadable or out of range."""
-        if raw in self.words:
-            return self.words[raw]
-        value = self.cast(raw)
-        if not self.holds(value):
-            raise ValueError(raw)
-        return value
-
-    def holds(self, value) -> bool:
-        """Whether a value is one this rule accepts."""
-        return value in self.words.values() or self.ok(value)
-
-
+# Each sieve the harness runs is one ESTIMATOR_KINDS entry: its options, its fit of one
+# replication, and its predicted rate.  An EstimatorSetting fills in omitted options.
 @dataclass(frozen=True)
 class EstimatorKind:
     """One estimator kind as the harness runs it.
@@ -293,46 +354,6 @@ class EstimatorKind:
     rate: Callable
     options: dict[str, Option] = field(default_factory=dict)
     min_n: int = 1
-
-
-def _parse(section: str, key: str, raw: str, rule: Option):
-    try:
-        return rule.parse(raw)
-    except ValueError:
-        raise ConfigError(f"section [{section}]: bad value {key} = {raw!r}; "
-                          f"expected {rule.accepts}") from None
-
-
-def _integer(value, least: int = 1) -> bool:
-    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
-def _integers(value, least: int = 1) -> bool:
-    """Whether ``value`` is a nonempty tuple or list of integers of at least ``least``."""
-    return (isinstance(value, (tuple, list)) and len(value) > 0
-            and all(_integer(v, least) for v in value))
-
-
-def _number(value) -> bool:
-    """Whether ``value`` is a real number (not a bool)."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _counts(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.replace(",", " ").split())
-
-
-def _nonnegative(value) -> bool:
-    return _number(value) and math.isfinite(value) and value >= 0.0
-
-
-def _positive(value) -> bool:
-    return _number(value) and value > 0.0
-
-
-_COUNT = Option("an integer >= 1", int, _integer)
-_PROBABILITY = Option("a number in (0, 1]", float, lambda v: _number(v) and 0.0 < v <= 1.0)
 
 
 # The fits call est_mod.fit_* (and the subset samplers) by name at call time,
@@ -397,15 +418,12 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
                         "default"),
     }),
     "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, options={
-        "hidden_widths": Option("integers >= 1, separated by spaces or commas", _counts,
-                                _integers, default=_text(ReluArchitecture.hidden_widths)),
+        "hidden_widths": _COUNTS._replace(default=_text(ReluArchitecture.hidden_widths)),
         "epochs": _COUNT._replace(default=_text(TrainConfig.epochs)),
-        "batch_size": Option("auto or an integer >= 1", int, _integer, {"auto": None},
-                             _text(TrainConfig.batch_size)),
+        "batch_size": _AUTO_OR_COUNT._replace(default=_text(TrainConfig.batch_size)),
         "learning_rate": Option("a number > 0", float, _positive,
                                 default=_text(TrainConfig.learning_rate)),
-        "sparsity": Option("auto or an integer >= 1", int, _integer, {"auto": None},
-                           _text(ReluArchitecture.sparsity)),
+        "sparsity": _AUTO_OR_COUNT._replace(default=_text(ReluArchitecture.sparsity)),
         "max_param": Option("a number > 0 (inf allowed)", float, _positive,
                             default=_text(ReluArchitecture.max_param)),
     }),
@@ -417,30 +435,6 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
 # [estimator NAME] section per estimator; values are flat key = value lines).
 # ---------------------------------------------------------------------------
 
-# Every [experiment] key but the spec keys, named as its ExperimentConfig field; an
-# omitted key keeps its field default.
-EXPERIMENT_FIELDS: dict[str, Option] = {
-    "sizes": Option("integers >= 1, separated by spaces or commas", _counts, _integers),
-    "m": _COUNT._replace(mode="sizes"),
-    "budgets": Option("integers >= 8, separated by spaces or commas", _counts,
-                      lambda v: _integers(v, 8)),
-    "allocation": Option("standard or smooth", words={"standard": "standard", "smooth": "smooth"},
-                         mode="budgets"),
-    "centers": _COUNT,
-    "sigma": Option("a finite number >= 0", float, _nonnegative),
-    "replications": _COUNT,
-    "master_seed": Option("an integer >= 0", int, lambda v: _integer(v, 0)),
-    "theta_eval_points": _COUNT,
-    "record_timing": Option("a bool (in a file: true, false, yes, no, on, off, 1 or 0)",
-                            lambda raw: configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower()),
-                            lambda v: isinstance(v, bool)),
-    "evaluation": Option("train or fresh", words={"train": "train", "fresh": "fresh"}),
-    "smoothness": Option("a finite number > 0", float, lambda v: _positive(v) and v < math.inf),
-    "alpha": _PROBABILITY._replace(mode="var"),
-    "beta": _PROBABILITY._replace(mode="alpha"),
-    "gamma": Option("a finite number >= 1", float,
-                    lambda v: _number(v) and 1.0 <= v < math.inf, mode="alpha"),
-}
 # The spec keys, read into the FunctionalSpec and KernelSpec, which apply their own rules.
 SPEC_KEYS = ("functional", "eta", "tau", "kernel", "nu", "d")
 

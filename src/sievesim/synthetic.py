@@ -129,22 +129,24 @@ def eval_f(f: TestFunction, x) -> np.ndarray:
     Points of the wrong dimension raise ``ValueError`` (from ``kernel_matrix``).
     """
     pts = as_points(x)
-    return _evaluate(f, pts.shape[0], lambda start, stop: pts[start:stop])
+    return _evaluate(f.kernel, f.centers, f.coefficients, pts.shape[0],
+                     lambda start, stop: pts[start:stop], 1.0 / f.coefficients.size)
 
 
-def _evaluate(f: TestFunction, count: int, rows) -> np.ndarray:
-    """The surface at ``count`` points, read chunk by chunk as ``rows(start, stop)``.
+def _evaluate(kernel: KernelSpec, points, weights, count: int, rows, scale=1.0) -> np.ndarray:
+    """``scale * sum_j weights_j k(x, points_j)`` at ``count`` points read chunk by chunk as
+    ``rows(start, stop)``: the surface's loop, and every fitted kernel expansion's.
 
     Each call has its own kernel buffer, so concurrent calls share none.  The
     product stays one GEMV per chunk: a different split of rows can change its bits.
     """
     out = np.empty(count)
-    buffer = np.empty((min(count, _EVAL_CHUNK), f.coefficients.size))
+    buffer = np.empty((min(count, _EVAL_CHUNK), weights.size))
     for start in range(0, count, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, count)
-        block = kernel_matrix(f.kernel, rows(start, stop), f.centers, out=buffer[: stop - start])
-        out[start:stop] = block @ f.coefficients
-    out *= 1.0 / f.coefficients.size
+        block = kernel_matrix(kernel, rows(start, stop), points, out=buffer[: stop - start])
+        out[start:stop] = block @ weights
+    out *= scale
     return out
 
 
@@ -196,7 +198,9 @@ def true_theta(
     if eval_points < 1:
         raise ValueError(f"eval_points must be >= 1, got {eval_points}")
     rng = np.random.default_rng(seed)
-    values = _evaluate(f, eval_points, lambda start, stop: rng.random((stop - start, f.dim)))
+    values = _evaluate(f.kernel, f.centers, f.coefficients, eval_points,
+                       lambda start, stop: rng.random((stop - start, f.dim)),
+                       1.0 / f.coefficients.size)
     return ThetaOracle(
         functional=functional,
         value=evaluate_functional(values, functional),

@@ -1,5 +1,7 @@
 import hashlib
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,50 @@ class TestPredictContract:
         assert_allclose(est.predict(x), loop, rtol=1e-13)
 
 
+class TestKernelExpansionPredict:
+    """Fitted kernel expansions predict through the surface's chunk loop."""
+
+    @staticmethod
+    def fitted(n=40, d=3):
+        spec, _, data = make_data(n=n, d=d, seed=80, family="gaussian")
+        return fit_krr(data, spec, 1e-2)
+
+    @pytest.mark.parametrize("rows", [1, 777, 10_000])
+    def test_one_chunk_is_the_one_matrix_product(self, rows):
+        est = self.fitted()
+        x = simulate_outer(rows, 3, seed=81)
+        want = kernel_matrix(est.kernel, x, est.points) @ est.weights
+        assert np.array_equal(est.predict(x), want)
+
+    def test_many_chunks_are_the_chunk_predicts(self):
+        est = self.fitted()
+        x = simulate_outer(25_000, 3, seed=82)
+        got = est.predict(x)
+        chunks = [est.predict(x[i:i + 10_000]) for i in range(0, 25_000, 10_000)]
+        assert np.array_equal(got, np.concatenate(chunks))
+        assert_allclose(got, kernel_matrix(est.kernel, x, est.points) @ est.weights, rtol=1e-14)
+
+    def test_holds_at_most_one_chunk_of_kernel_rows(self):
+        est = self.fitted(n=200)
+        x = simulate_outer(25_000, 3, seed=83)
+        est.predict(x[:10])  # warm-up: the kernel block pool's first use
+        tracemalloc.start()
+        try:
+            est.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 10_000 * 200 * 8
+        assert peak < chunk + 25_000 * 8 + 2**20, peak
+
+    def test_surface_is_the_scaled_expansion_of_its_centers(self):
+        spec = KernelSpec.laplace(2)
+        f = make_test_function(spec, n_centers=30, seed=84)
+        est = KRREstimator(spec, f.centers, f.coefficients, 0.0, None)
+        x = simulate_outer(25_001, 2, seed=85)
+        assert np.array_equal(est.predict(x) * (1.0 / 30), f(x))
+
+
 class TestFittedValues:
     FITS = {
         "sample_average": lambda data, spec: fit_sample_average(data),
@@ -468,13 +514,30 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind, shape", [
         ("sample_average", "6 rows of 3 columns"), ("krr", "6 rows of 3 columns"),
-        ("inducing_krr", "3 rows of 3 columns"), ("relu", "31 parameters"),
+        ("inducing_krr", "3 rows of 3 columns"),
+        ("relu", "dim=2 and hidden=4,3 give 31 parameters"),
     ])
     def test_committed_v1_file_without_its_last_row_does_not_load(self, kind, shape, tmp_path):
         lines = (V1_FILES / f"{kind}.txt").read_text().splitlines(keepends=True)
         path = tmp_path / "short.txt"
         path.write_text("".join(lines[:-1]))
-        with pytest.raises(ValueError, match=shape):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{shape}"):
+            load_estimator(path)
+
+    def test_unknown_kind_names_the_file(self, tmp_path):
+        path = tmp_path / "spline.txt"
+        path.write_text((V1_FILES / "krr.txt").read_text().replace("kind=krr ", "kind=spline ", 1))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: unknown estimator kind 'spline'"):
+            load_estimator(path)
+
+    @pytest.mark.parametrize("first", ["# sievesim estimator v10", "# sievesim estimator v1.5",
+                                       "garbage sievesim estimator v1 trailing"])
+    def test_first_line_must_be_the_exact_version_line(self, first, tmp_path):
+        lines = (V1_FILES / "krr.txt").read_text().splitlines(keepends=True)
+        path = tmp_path / "other.txt"
+        path.write_text("".join([first + "\n", *lines[1:]]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a sievesim"):
             load_estimator(path)
 
     @pytest.mark.parametrize("kind, cls", [("krr", KRREstimator),

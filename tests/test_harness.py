@@ -170,6 +170,25 @@ class TestParseConfig:
                 row = f"| `{kind}` | `{key}` | `{option.default}` | {option.accepts} |"
                 assert row in readme.splitlines()
 
+    def test_experiment_fields_keep_their_keys_order_and_rules(self):
+        assert [(key, rule.accepts, rule.mode) for key, rule in EXPERIMENT_FIELDS.items()] == [
+            ("sizes", "integers >= 1, separated by spaces or commas", ""),
+            ("m", "an integer >= 1", "sizes"),
+            ("budgets", "integers >= 8, separated by spaces or commas", ""),
+            ("allocation", "standard or smooth", "budgets"),
+            ("centers", "an integer >= 1", ""),
+            ("sigma", "a finite number >= 0", ""),
+            ("replications", "an integer >= 1", ""),
+            ("master_seed", "an integer >= 0", ""),
+            ("theta_eval_points", "an integer >= 1", ""),
+            ("record_timing", "a bool (in a file: true, false, yes, no, on, off, 1 or 0)", ""),
+            ("evaluation", "train or fresh", ""),
+            ("smoothness", "a finite number > 0", ""),
+            ("alpha", "a number in (0, 1]", "var"),
+            ("beta", "a number in (0, 1]", "alpha"),
+            ("gamma", "a finite number >= 1", "alpha"),
+        ]
+
     def test_readme_lists_every_experiment_key_with_its_field_default(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
         for key in [*harness.SPEC_KEYS, *EXPERIMENT_FIELDS]:
@@ -663,14 +682,17 @@ class TestEmission:
         assert [c["mean_abs_error"] for c in good] == [
             c.mean_abs_error for c in result.cells if c.estimator != "exploding"]
 
-    def test_golden_bytes(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_golden_bytes(self, threads, tmp_path, monkeypatch):
         """The frozen config reproduces the recorded output byte for byte.
 
         Pins the whole pipeline: seed derivation, simulation, estimation,
         aggregation, and 17-digit formatting.  Regenerate the fixtures by
         rerunning emit_results on tests/data/golden_config.ini if the seed
-        layout ever changes deliberately.
+        layout ever changes deliberately.  The bytes do not depend on the
+        worker count.
         """
+        monkeypatch.setenv("SIEVESIM_THREADS", threads)
         config = parse_config(DATA / "golden_config.ini")
         result = run_experiment(config)
         paths = emit_results(result, fmt="csv", path=tmp_path / "golden.csv")
@@ -696,9 +718,11 @@ class TestEmission:
             assert a.estimator == b.estimator
             assert_allclose(a.slope, b.slope, rtol=1e-15)
 
-    def test_estimator_golden_bytes(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_estimator_golden_bytes(self, threads, tmp_path, monkeypatch):
         """Every estimator kind, the var functional and fresh evaluation,
-        pinned byte for byte in CSV, slope CSV and JSON."""
+        pinned byte for byte in CSV, slope CSV and JSON, at one and two workers."""
+        monkeypatch.setenv("SIEVESIM_THREADS", threads)
         result = run_experiment(parse_config(DATA / "golden_estimators.ini"))
         paths = emit_results(result, fmt="csv", path=tmp_path / "golden.csv")
         assert paths[0].read_bytes() == (DATA / "golden_estimators_results.csv").read_bytes()

@@ -264,6 +264,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=shape):
             load(path)
 
+    @pytest.mark.parametrize("first", ["# sievesim nested dataset v10",
+                                       "# sievesim nested dataset v1.5",
+                                       "garbage sievesim nested dataset v1 trailing"])
+    def test_first_line_must_be_the_exact_version_line(self, first, tmp_path):
+        lines = (V1_FILES / "dataset.txt").read_text().splitlines(keepends=True)
+        path = tmp_path / "other.txt"
+        path.write_text("".join([first + "\n", *lines[1:]]))
+        with pytest.raises(ValueError, match="not a sievesim nested dataset v1 file") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+
     def test_header_dim_must_match_the_columns(self, tmp_path):
         text = (V1_FILES / "dataset.txt").read_text()
         path = tmp_path / "wide.txt"
