@@ -9,7 +9,8 @@ reading a file back reproduces its numbers bit for bit:
   header with a ``dim`` and a row count (``n`` or ``n_centers``) needs exactly
   that many rows of ``dim + 1`` columns to load, and a ``relu`` estimator
   needs one row of one column per parameter that its ``dim`` and ``hidden``
-  give;
+  give; a header key that a reader needs and the file lacks raises
+  ``ValueError`` naming the file and the key;
 * result tables: comma-separated rows of a dataclass's fields under a header
   naming them.
 """
@@ -62,6 +63,17 @@ def write_table(path, kind: str, fields: dict, columns: str, table) -> None:
             fh.write(" ".join(fmt(v) for v in row) + "\n")
 
 
+class _Header(dict):
+    """A columnar file's header fields; reading a key it lacks raises ``ValueError``."""
+
+    def __init__(self, path, tokens):
+        super().__init__(t.split("=", 1) for t in tokens if "=" in t)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: the header has no {key}= field")
+
+
 def read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:
     """Header fields (as text) and the numeric rows of a columnar file; a body
     that breaks the row rule in the module docstring raises ``ValueError``."""
@@ -69,10 +81,11 @@ def read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:
         first = fh.readline().rstrip("\n")
         if first != f"# sievesim {kind} v1":
             raise ValueError(f"{path}: not a sievesim {kind} v1 file: {first!r}")
-        tokens = fh.readline().lstrip("#").split()
+        fields = _Header(path, fh.readline().lstrip("#").split())
         fh.readline()  # column comment
-        fields = dict(t.split("=", 1) for t in tokens if "=" in t)
-        data = np.loadtxt(fh, ndmin=2)
+        # Only rows with data reach loadtxt, which warns on an empty body.
+        rows = [line for line in fh if line.split("#", 1)[0].strip()]
+    data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
     rows = fields.get("n", fields.get("n_centers"))
     if rows is not None and "dim" in fields:
         shape = (int(rows), int(fields["dim"]) + 1)

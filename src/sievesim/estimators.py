@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
 
-from .kernels import DEFAULT_JITTER, KernelSpec, as_points, kernel_matrix
+from .kernels import _BLOCK_ENTRIES, DEFAULT_JITTER, KernelSpec, as_points, kernel_matrix
 from .network import ReluNetwork
 from .synthetic import NestedDataset, _evaluate
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
@@ -145,20 +145,20 @@ class InducingKRREstimator(KernelExpansion):
 _KERNEL_KINDS = {cls.kind: cls for cls in (KRREstimator, InducingKRREstimator)}
 
 
-def _solve_expansion(cls, data: NestedDataset, spec: KernelSpec, points, basis, system, rhs,
+def _solve_expansion(cls, data: NestedDataset, spec: KernelSpec, points, fit, system, rhs,
                      regularization: float, detail: dict, diagnose):
     """Factor the SPD ``system`` in place and solve it for the weights.
 
-    ``basis`` maps the weights to the fitted values at the scenarios.  A
-    failed factorization raises :class:`FitError` with ``diagnose(exc)`` as
-    its message.
+    ``fit(weights)`` gives the fitted values at the scenarios.  A failed
+    factorization raises :class:`FitError` with ``diagnose(exc)`` as its
+    message.
     """
     try:
         cho = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
         weights = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise FitError(diagnose(exc)) from exc
-    fitted = basis @ weights
+    fitted = fit(weights)
     meta = TrainingMeta(n=data.n, m=data.m, residual_norm=_residual_norm(fitted, data.ybar),
                         detail=detail)
     return cls(kernel=spec, points=points, weights=weights, regularization=regularization,
@@ -180,15 +180,30 @@ def default_regularization(spec: KernelSpec, n: int) -> float:
 
 
 def _krr_system(k: np.ndarray, jitter: float, shift: float) -> np.ndarray:
-    """``K + jitter I + shift I`` as a Fortran-ordered copy, which LAPACK can
-    factor without copying again; the two diagonal adds keep that order.
-    ``K = kernel_matrix(X, X)`` equals its transpose bit for bit, so the copy
-    is of ``K.T``: a straight memcpy of the C-ordered ``K``, not a transpose."""
-    system = k.T.copy(order="F")
+    """``K + jitter I + shift I`` written into ``K`` and returned as ``K.T``.
+    ``K = kernel_matrix(X, X)`` equals its transpose bit for bit, so ``K.T`` is
+    ``K`` in Fortran order, which LAPACK factors without a copy; the two diagonal
+    adds keep that order.  A lower Cholesky of it overwrites only ``K``'s
+    diagonal and upper triangle, and :func:`_restore_gram` undoes that."""
+    system = k.T
     diag = np.diag_indices_from(system)
     system[diag] += jitter
     system[diag] += shift
     return system
+
+
+def _restore_gram(k: np.ndarray, diagonal: np.ndarray) -> None:
+    """Make ``K`` whole again from its strict lower triangle and ``diagonal``,
+    mirroring in row blocks so the transposed copy stays one block."""
+    n = k.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        square = k[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        square[upper] = square.T[upper]
+        k[start:stop, stop:] = k[stop:, start:stop].T
+    k[np.diag_indices(n)] = diagonal
 
 
 def fit_krr(
@@ -201,6 +216,7 @@ def fit_krr(
 
     ``lam = 0`` is allowed (interpolation up to jitter).  A failed Cholesky
     factorization raises :class:`FitError` with a conditioning diagnostic.
+    The gram is factored in place, so a fit holds one n x n array.
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
@@ -208,14 +224,20 @@ def fit_krr(
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
     n = data.n
     k = kernel_matrix(spec, data.scenarios, data.scenarios)
+    diagonal = k.diagonal().copy()
+
+    def fit(weights):
+        _restore_gram(k, diagonal)
+        return k @ weights
 
     def diagnose(exc):
-        # The system is factored in place, so the diagnostic rebuilds it from K.
+        # The failed factorization overwrote K's upper triangle; the system is rebuilt from K.
+        _restore_gram(k, diagonal)
         eigs = scipy.linalg.eigvalsh(_krr_system(k, jitter, n * lam))
         return (f"KRR solve failed at n={n}, lam={lam}: {exc}; "
                 f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
 
-    return _solve_expansion(KRREstimator, data, spec, data.scenarios, k,
+    return _solve_expansion(KRREstimator, data, spec, data.scenarios, fit,
                             _krr_system(k, jitter, n * lam), data.ybar, lam,
                             {"jitter": jitter}, diagnose)
 
@@ -288,8 +310,8 @@ def fit_krr_inducing(
         return (f"inducing-point normal equations are rank deficient without ridge: "
                 f"rank {rank} of {s_count}")
 
-    return _solve_expansion(InducingKRREstimator, data, spec, ind, design, system, rhs, ridge,
-                            {"inducing_count": s_count, "ridge": ridge}, diagnose)
+    return _solve_expansion(InducingKRREstimator, data, spec, ind, design.__matmul__, system, rhs,
+                            ridge, {"inducing_count": s_count, "ridge": ridge}, diagnose)
 
 
 # ---------------------------------------------------------------------------

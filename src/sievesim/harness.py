@@ -19,9 +19,11 @@ reproduced in isolation and replications may run concurrently:
 * ``lambda = cv`` folds: seed 0 in every cell, not the estimator stream above
 
 Every sweep fits its (size, replication) jobs on a pool of ``SIEVESIM_THREADS`` threads
-(default 1), with the same output at any count, through ``kernels._run_all``: each job
-runs under the caller's numpy error state, and the first error that aborts the run
-cancels the queued jobs and is raised after the running ones end.
+(default: the usable CPUs), with the same output at any count, through
+``kernels._run_all``: each job runs under the caller's numpy error state, and the first
+error that aborts the run cancels the queued jobs and is raised after the running ones
+end.  A run holds BLAS at one thread (``kernels._one_blas_thread``) from its reference
+value to its last fit, so its output bytes do not depend on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import estimators as est_mod
 from ._textio import csv_text, read_csv
 from .estimators import FitError, ReluArchitecture, TrainConfig
 from .functionals import FunctionalSpec, evaluate_functional
-from .kernels import (DEFAULT_JITTER, KernelSpec, _run_all, _usable_cpus,
+from .kernels import (DEFAULT_JITTER, KernelSpec, _one_blas_thread, _run_all, _usable_cpus,
                       farthest_point_sample, random_subsample)
 from .rates import (
     allocate,
@@ -554,11 +556,13 @@ def simulate_cell(config: ExperimentConfig, surface, size_index: int, replicatio
 
 
 def _worker_count() -> int:
-    """Worker threads from ``SIEVESIM_THREADS`` (default 1), capped at the usable CPUs."""
-    raw = os.environ.get("SIEVESIM_THREADS", "1")
+    """Worker threads from ``SIEVESIM_THREADS`` (default: the usable CPUs), capped at the
+    usable CPUs."""
+    cpus = _usable_cpus()
+    raw = os.environ.get("SIEVESIM_THREADS", str(cpus))
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ConfigError(f"SIEVESIM_THREADS must be a positive integer, got {raw!r}")
-    return min(int(raw), _usable_cpus())
+    return min(int(raw), cpus)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -570,12 +574,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     per estimator to ``log(mean_abs_error)`` against ``log(n * m)`` when at
     least three cells are valid; otherwise the slope is omitted.  A warning
     names each failed fit and each cell left out of a slope fit, and, in a
-    sweep of three or more cells, each estimator left without a slope.
+    sweep of three or more cells, each estimator left without a slope.  BLAS runs at
+    one thread until the run ends; where no OpenBLAS is found to pin, the last warning
+    says so.
     """
     workers = _worker_count()
     cells = config.cells()
     surface = config_test_function(config)
-    theta = config_theta(config)
 
     def run_cell(si: int, r: int) -> list[FitRecord]:
         data = simulate_cell(config, surface, si, r)
@@ -606,8 +611,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return out
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
-    with ThreadPoolExecutor(workers) as pool:
-        batches = _run_all(pool, run_cell, jobs)
+    with _one_blas_thread as pinned:
+        theta = config_theta(config)
+        with ThreadPoolExecutor(workers) as pool:
+            batches = _run_all(pool, run_cell, jobs)
     records = tuple(record for batch in batches for record in batch)
 
     warnings = [record.failure for record in records if record.failure]
@@ -633,6 +640,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                 f"(mean error {mean})")
         if len(cells) >= 3 and sum(map(enters_slope_fit, stats[-len(cells):])) < 3:
             warnings.append(f"{setting.name}: too few valid cells for a slope fit")
+    if not pinned:
+        warnings.append("BLAS ran at its default thread count: no bundled OpenBLAS was found")
 
     return ExperimentResult(
         cells=tuple(stats),

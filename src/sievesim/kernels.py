@@ -17,16 +17,24 @@ built at import, starts its threads on first use, and is rebuilt in a forked
 child.  Its blocks and the harness's sweep jobs run through ``_run_all``: each
 task runs under the caller's numpy error state, and the first error cancels
 the queued tasks and is raised after the running ones end.
+
+``_one_blas_thread`` holds every OpenBLAS bundled with numpy and scipy at one
+thread while it is entered, so the threads of these pools are the only ones
+that compute; on the last exit it restores the counts found on the first entry.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -133,6 +141,70 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+# The (get, set) thread-count symbols of the OpenBLAS builds that numpy's and
+# scipy's wheels bundle: numpy's 64-bit-integer build, then scipy's.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas_libraries() -> list[tuple]:
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS in the wheels'
+    ``<package>.libs`` directories; empty where none is found."""
+    found = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            lib = ctypes.CDLL(str(path))  # the copy already loaded, not a second one
+            for get_name, set_name in _OPENBLAS_SYMBOLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    found.append((get, set_))
+                    break
+    return found
+
+
+class _BlasPin:
+    """Context manager that holds BLAS at one thread; entering it returns
+    whether any library was found to pin.
+
+    Runs may enter it nested or from several threads: a depth count under a
+    lock keeps the pin until the last one exits.  The libraries are looked up
+    on the first entry, not at import.
+    """
+
+    def __init__(self, find=_openblas_libraries):
+        self._find = find
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._libraries = None
+        self._saved = []
+
+    def __enter__(self) -> bool:
+        with self._lock:
+            if self._libraries is None:
+                self._libraries = self._find()
+            if self._depth == 0:
+                self._saved = [(set_, get()) for get, set_ in self._libraries]
+                for _, set_ in self._libraries:
+                    set_(1)
+            self._depth += 1
+            return bool(self._libraries)
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_one_blas_thread = _BlasPin()
 
 
 def _new_pool() -> None:

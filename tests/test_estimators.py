@@ -2,10 +2,12 @@ import hashlib
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -151,6 +153,36 @@ class TestKRR:
                              noise_sigma=0.0, seed=None)
         with pytest.raises(FitError, match=r"eigenvalue range \[.*, 4\.000e\+00\]"):
             fit_krr(data, spec, 0.0, jitter=0.0)
+
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_in_place_solve_is_the_copy_based_solve(self, family):
+        # n = 1001 spans two mirror blocks, of 523 and 478 rows.
+        spec, _, data = make_data(n=1001, d=10, seed=86, family=family)
+        lam, jitter = 1e-3, 1e-10
+        est = fit_krr(data, spec, lam, jitter=jitter)
+        K = kernel_matrix(spec, data.scenarios, data.scenarios)
+        system = K.copy(order="F")
+        system[np.diag_indices(1001)] += jitter
+        system[np.diag_indices(1001)] += 1001 * lam
+        weights = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(system, lower=True, check_finite=False), data.ybar,
+            check_finite=False)
+        assert np.array_equal(est.weights, weights)
+        assert np.array_equal(est.fitted_values, K @ weights)
+        assert np.array_equal(est.fitted_values, est.predict(data.scenarios))
+
+    def test_holds_one_gram(self):
+        spec, _, data = make_data(n=1500, d=10, seed=87, family="gaussian")
+        fit_krr(make_data(n=600, d=10, seed=87)[2], spec, 1e-3)  # warm-up: the block pool
+        tracemalloc.start()
+        try:
+            fit_krr(data, spec, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram = 1500 * 1500 * 8
+        assert peak < gram + 8 * 2**20, peak
 
 
 class TestInducingKRR:
@@ -539,6 +571,24 @@ class TestSerialization:
         path.write_text("".join([first + "\n", *lines[1:]]))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a sievesim"):
             load_estimator(path)
+
+    @pytest.mark.parametrize("field", ["kind=krr ", "family=laplace ", " lam=0.01"])
+    def test_header_without_a_needed_field_names_the_file_and_key(self, field, tmp_path):
+        path = tmp_path / "partial.txt"
+        path.write_text((V1_FILES / "krr.txt").read_text().replace(field, "", 1))
+        key = field.strip().split("=")[0]
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: the header has no {key}= field"):
+            load_estimator(path)
+
+    def test_header_without_rows_names_the_file_and_warns_of_nothing(self, tmp_path):
+        path = tmp_path / "header_only.txt"
+        path.write_text("".join((V1_FILES / "krr.txt").read_text().splitlines(True)[:3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(str(path))}: .*the body has 0 rows"):
+                load_estimator(path)
 
     @pytest.mark.parametrize("kind, cls", [("krr", KRREstimator),
                                            ("inducing_krr", InducingKRREstimator)])

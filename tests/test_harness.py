@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sievesim import estimators, harness
+from sievesim import estimators, harness, kernels
 from sievesim.estimators import ReluArchitecture, TrainConfig, fit_krr
 from sievesim.functionals import FunctionalSpec, evaluate_functional
 from sievesim.harness import (
@@ -368,7 +368,7 @@ class TestRunExperiment:
         monkeypatch.setenv("SIEVESIM_THREADS", "1")
         assert _worker_count() == 1
         monkeypatch.delenv("SIEVESIM_THREADS")
-        assert _worker_count() == 1
+        assert _worker_count() == _usable_cpus()
 
     def test_thread_count_is_capped_at_the_usable_cpus(self, monkeypatch):
         # The CPUs this process may run on, not every CPU of the machine.
@@ -402,6 +402,44 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="failed at n=30"):
             run_experiment(config)
         assert len(calls) < 10
+
+    def test_fits_run_at_one_blas_thread_and_the_counts_come_back(self, tmp_path, monkeypatch):
+        libraries = kernels._openblas_libraries()
+        if not libraries:
+            pytest.skip("no bundled OpenBLAS to pin")
+        config = parse_config(write_config(tmp_path, TINY))
+        seen, fit = [], estimators.fit_sample_average
+
+        def spy(data):
+            seen.append([get() for get, _ in libraries])
+            return fit(data)
+
+        def abort(data):
+            raise ValueError("abort")
+
+        saved = [get() for get, _ in libraries]
+        try:
+            for _, set_threads in libraries:
+                set_threads(3)
+            monkeypatch.setattr(estimators, "fit_sample_average", spy)
+            run_experiment(config)
+            assert seen and all(counts == [1] * len(libraries) for counts in seen)
+            assert [get() for get, _ in libraries] == [3] * len(libraries)
+            monkeypatch.setattr(estimators, "fit_sample_average", abort)
+            with pytest.raises(RuntimeError, match="failed at n=30"):
+                run_experiment(config)
+            assert [get() for get, _ in libraries] == [3] * len(libraries)
+        finally:
+            for (_, set_threads), count in zip(libraries, saved):
+                set_threads(count)
+
+    def test_a_run_with_no_blas_to_pin_says_so_last(self, tmp_path, monkeypatch):
+        config = parse_config(write_config(tmp_path, TINY))
+        pinned = run_experiment(config)
+        monkeypatch.setattr(harness, "_one_blas_thread", kernels._BlasPin(lambda: []))
+        unpinned = run_experiment(config)
+        assert unpinned.warnings == (*pinned.warnings, "BLAS ran at its default thread count: "
+                                                        "no bundled OpenBLAS was found")
 
     def test_cv_scores_folds_at_the_configured_jitter(self, tmp_path, monkeypatch):
         config = parse_config(write_config(tmp_path, TINY.replace(

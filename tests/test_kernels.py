@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -406,3 +407,27 @@ def test_run_all_returns_results_in_task_order():
         results = kernels._run_all(pool, square, [(i, 0.03 * (4 - i)) for i in range(4)])
     assert done == [3, 2, 1, 0]
     assert results == [0, 1, 4, 9]
+
+
+def test_blas_pin_holds_until_the_last_holder_exits():
+    # Eight threads enter and leave one pin with a short switch interval: a lost
+    # update to its depth would show a count other than 1 inside or 4 after.
+    count, wrong = [4], []
+    pin = kernels._BlasPin(lambda: [(lambda: count[0], lambda n: count.__setitem__(0, n))])
+
+    def hold(_):
+        for _ in range(300):
+            with pin:
+                with pin:
+                    pass
+                if count[0] != 1:
+                    wrong.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            list(pool.map(hold, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [] and count == [4]
