@@ -84,8 +84,8 @@ def read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:
         fields = _Header(path, fh.readline().lstrip("#").split())
         fh.readline()  # column comment
         # Only rows with data reach loadtxt, which warns on an empty body.
-        rows = [line for line in fh if line.split("#", 1)[0].strip()]
-    data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
+        lines = [line for line in fh if line.split("#", 1)[0].strip()]
+    data = np.loadtxt(lines, ndmin=2) if lines else np.empty((0, 0))
     rows = fields.get("n", fields.get("n_centers"))
     if rows is not None and "dim" in fields:
         shape = (int(rows), int(fields["dim"]) + 1)

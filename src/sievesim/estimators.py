@@ -145,11 +145,11 @@ class InducingKRREstimator(KernelExpansion):
 _KERNEL_KINDS = {cls.kind: cls for cls in (KRREstimator, InducingKRREstimator)}
 
 
-def _solve_expansion(cls, data: NestedDataset, spec: KernelSpec, points, fit, system, rhs,
+def _solve_expansion(cls, data: NestedDataset, spec: KernelSpec, points, fitted_values, system, rhs,
                      regularization: float, detail: dict, diagnose):
     """Factor the SPD ``system`` in place and solve it for the weights.
 
-    ``fit(weights)`` gives the fitted values at the scenarios.  A failed
+    ``fitted_values(weights)`` gives the fitted values at the scenarios.  A failed
     factorization raises :class:`FitError` with ``diagnose(exc)`` as its
     message.
     """
@@ -158,7 +158,7 @@ def _solve_expansion(cls, data: NestedDataset, spec: KernelSpec, points, fit, sy
         weights = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise FitError(diagnose(exc)) from exc
-    fitted = fit(weights)
+    fitted = fitted_values(weights)
     meta = TrainingMeta(n=data.n, m=data.m, residual_norm=_residual_norm(fitted, data.ybar),
                         detail=detail)
     return cls(kernel=spec, points=points, weights=weights, regularization=regularization,
@@ -193,8 +193,9 @@ def _krr_system(k: np.ndarray, jitter: float, shift: float) -> np.ndarray:
 
 
 def _restore_gram(k: np.ndarray, diagonal: np.ndarray) -> None:
-    """Make ``K`` whole again from its strict lower triangle and ``diagonal``,
-    mirroring in row blocks so the transposed copy stays one block."""
+    """Make ``K`` whole again from its strict lower triangle and ``diagonal``.
+    It mirrors in row blocks, so each transposed copy holds at most
+    ``_BLOCK_ENTRIES`` entries."""
     n = k.shape[0]
     rows = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, n, rows):
@@ -226,7 +227,7 @@ def fit_krr(
     k = kernel_matrix(spec, data.scenarios, data.scenarios)
     diagonal = k.diagonal().copy()
 
-    def fit(weights):
+    def fitted_values(weights):
         _restore_gram(k, diagonal)
         return k @ weights
 
@@ -237,7 +238,7 @@ def fit_krr(
         return (f"KRR solve failed at n={n}, lam={lam}: {exc}; "
                 f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
 
-    return _solve_expansion(KRREstimator, data, spec, data.scenarios, fit,
+    return _solve_expansion(KRREstimator, data, spec, data.scenarios, fitted_values,
                             _krr_system(k, jitter, n * lam), data.ybar, lam,
                             {"jitter": jitter}, diagnose)
 
@@ -310,8 +311,9 @@ def fit_krr_inducing(
         return (f"inducing-point normal equations are rank deficient without ridge: "
                 f"rank {rank} of {s_count}")
 
-    return _solve_expansion(InducingKRREstimator, data, spec, ind, design.__matmul__, system, rhs,
-                            ridge, {"inducing_count": s_count, "ridge": ridge}, diagnose)
+    return _solve_expansion(InducingKRREstimator, data, spec, ind, lambda weights: design @ weights,
+                            system, rhs, ridge, {"inducing_count": s_count, "ridge": ridge},
+                            diagnose)
 
 
 # ---------------------------------------------------------------------------
