@@ -143,25 +143,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The (get, set) thread-count symbols of the OpenBLAS builds that numpy's and
-# scipy's wheels bundle: numpy's 64-bit-integer build, then scipy's.
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
 def _openblas_libraries() -> list[tuple]:
-    """``(get_num_threads, set_num_threads)`` of each OpenBLAS in the wheels'
-    ``<package>.libs`` directories; empty where none is found."""
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS in the numpy and
+    scipy wheels' ``<package>.libs`` directories; empty where none is found.
+    numpy's build has 64-bit integers and suffixes its symbols with ``64_``."""
     found = []
     for package in (np, scipy):
         libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
         for path in sorted(libs.glob("libscipy_openblas*")):
-            lib = ctypes.CDLL(str(path))  # the copy already loaded, not a second one
-            for get_name, set_name in _OPENBLAS_SYMBOLS:
-                if hasattr(lib, get_name) and hasattr(lib, set_name):
-                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            try:
+                lib = ctypes.CDLL(str(path))  # the copy already loaded, not a second one
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
                     get.argtypes, get.restype = [], ctypes.c_int
                     set_.argtypes, set_.restype = [ctypes.c_int], None
                     found.append((get, set_))
