@@ -19,16 +19,21 @@ reproduced in isolation and replications may run concurrently:
 * ``lambda = cv`` folds: seed 0 in every cell, not the estimator stream above
 
 Every sweep fits its (size, replication) jobs on a pool of ``SIEVESIM_THREADS`` threads
-(default: the usable CPUs), with the same output at any count, through
-``kernels._run_all``: each job runs under the caller's numpy error state, and the first
-error that aborts the run cancels the queued jobs and is raised after the running ones
-end.  A run holds BLAS at one thread (``kernels._one_blas_thread``) from its reference
-value to its last fit, so its output bytes do not depend on ``OPENBLAS_NUM_THREADS``.
+(default 1), with the same output at any count, through ``kernels._run_all``: each job
+runs under the caller's numpy error state, and the first error that aborts the run
+cancels the queued jobs and is raised after the running ones end.
+
+BLAS runs at one thread (``kernels._one_blas_thread``) while a reference value is
+computed, a cell's data is simulated and a fit whose bits depend on BLAS's thread count
+runs, so the output bytes do not depend on ``OPENBLAS_NUM_THREADS``.  A ReLU fit's bits
+do not depend on it: on one worker it trains at BLAS's own thread count, on several at
+one thread each.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import functools
 import json
@@ -349,13 +354,16 @@ class EstimatorKind:
     options.  ``rate(s, d)`` is the predicted plug-in error rate for
     smoothness ``s`` (None for the Gaussian kernel) in dimension ``d``, or
     None when there is no prediction.  Every n of a sweep must be at least
-    ``min_n``.
+    ``min_n``.  A fit runs with BLAS at one thread, except on a one-worker
+    sweep when ``one_blas_thread`` is false, which marks a fit whose bits do
+    not depend on BLAS's thread count.
     """
 
     fit: Callable
     rate: Callable
     options: dict[str, Option] = field(default_factory=dict)
     min_n: int = 1
+    one_blas_thread: bool = True
 
 
 # The fits call est_mod.fit_* (and the subset samplers) by name at call time,
@@ -419,7 +427,8 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
         "ridge": Option("default or a number >= 0", float, _nonnegative, {"default": None},
                         "default"),
     }),
-    "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, options={
+    # Its batch-scale products gain from BLAS's threads when no other worker needs the cores.
+    "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, one_blas_thread=False, options={
         "hidden_widths": _COUNTS._replace(default=_text(ReluArchitecture.hidden_widths)),
         "epochs": _COUNT._replace(default=_text(TrainConfig.epochs)),
         "batch_size": _AUTO_OR_COUNT._replace(default=_text(TrainConfig.batch_size)),
@@ -522,7 +531,8 @@ def _seed(master: int, *tags: int) -> np.random.SeedSequence:
 
 # Surfaces and references are memoized per process by the config fields that
 # determine them, so configs that share a surface build it, and compute its
-# reference, once.  A TestFunction is immutable, so sharing one is safe.
+# reference, once.  A TestFunction is immutable, so sharing one is safe.  A
+# reference and a cell's data are computed with BLAS at one thread, in a run or not.
 def config_test_function(config: ExperimentConfig):
     return _test_function(config.kernel, config.centers, config.master_seed)
 
@@ -540,8 +550,9 @@ def _test_function(kernel: KernelSpec, centers: int, master: int):
 @functools.lru_cache(maxsize=16)
 def _theta(kernel: KernelSpec, centers: int, master: int, eval_points: int,
            functional: FunctionalSpec) -> ThetaOracle:
-    return true_theta(_test_function(kernel, centers, master), functional,
-                      eval_points=eval_points, seed=_seed(master, _THETA_TAG))
+    with _one_blas_thread:
+        return true_theta(_test_function(kernel, centers, master), functional,
+                          eval_points=eval_points, seed=_seed(master, _THETA_TAG))
 
 
 def simulate_cell(config: ExperimentConfig, surface, size_index: int, replication: int):
@@ -550,19 +561,18 @@ def simulate_cell(config: ExperimentConfig, surface, size_index: int, replicatio
     scenarios = simulate_outer(
         n, config.kernel.dim,
         seed=_seed(config.master_seed, _DATA_TAG, size_index, replication, 0))
-    return simulate_inner(
-        surface, scenarios, m, config.sigma,
-        seed=_seed(config.master_seed, _DATA_TAG, size_index, replication, 1))
+    with _one_blas_thread:
+        return simulate_inner(
+            surface, scenarios, m, config.sigma,
+            seed=_seed(config.master_seed, _DATA_TAG, size_index, replication, 1))
 
 
 def _worker_count() -> int:
-    """Worker threads from ``SIEVESIM_THREADS`` (default: the usable CPUs), capped at the
-    usable CPUs."""
-    cpus = _usable_cpus()
-    raw = os.environ.get("SIEVESIM_THREADS", str(cpus))
+    """Worker threads from ``SIEVESIM_THREADS`` (default 1), capped at the usable CPUs."""
+    raw = os.environ.get("SIEVESIM_THREADS", "1")
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ConfigError(f"SIEVESIM_THREADS must be a positive integer, got {raw!r}")
-    return min(int(raw), cpus)
+    return min(int(raw), _usable_cpus())
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -574,13 +584,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     per estimator to ``log(mean_abs_error)`` against ``log(n * m)`` when at
     least three cells are valid; otherwise the slope is omitted.  A warning
     names each failed fit and each cell left out of a slope fit, and, in a
-    sweep of three or more cells, each estimator left without a slope.  BLAS runs at
-    one thread until the run ends; where no OpenBLAS is found to pin, the last warning
-    says so.
+    sweep of three or more cells, each estimator left without a slope.  Where no
+    OpenBLAS is found to hold at one thread (module docstring), the last warning says so.
     """
     workers = _worker_count()
     cells = config.cells()
     surface = config_test_function(config)
+    theta = config_theta(config)
 
     def run_cell(si: int, r: int) -> list[FitRecord]:
         data = simulate_cell(config, surface, si, r)
@@ -591,14 +601,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 seed=_seed(config.master_seed, _EVAL_TAG, si, r))
         out = []
         for ei, setting in enumerate(config.estimators):
+            kind = ESTIMATOR_KINDS[setting.kind]
             fit_seed = _seed(config.master_seed, _FIT_TAG, si, r, ei)
             start = time.perf_counter()
             err = failure = None
             try:
-                fitted = ESTIMATOR_KINDS[setting.kind].fit(
-                    setting.options, data, config.kernel, fit_seed)
-                values = (fitted.fitted_values if eval_points is None
-                          else fitted.predict(eval_points))
+                pin = kind.one_blas_thread or workers > 1
+                with _one_blas_thread if pin else contextlib.nullcontext():
+                    fitted = kind.fit(setting.options, data, config.kernel, fit_seed)
+                    values = (fitted.fitted_values if eval_points is None
+                              else fitted.predict(eval_points))
                 estimate = evaluate_functional(values, config.functional)
                 err = abs(estimate - theta.value)
             except FitError as exc:
@@ -611,10 +623,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return out
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
-    with _one_blas_thread as pinned:
-        theta = config_theta(config)
-        with ThreadPoolExecutor(workers) as pool:
-            batches = _run_all(pool, run_cell, jobs)
+    with ThreadPoolExecutor(workers) as pool:
+        batches = _run_all(pool, run_cell, jobs)
     records = tuple(record for batch in batches for record in batch)
 
     warnings = [record.failure for record in records if record.failure]
@@ -640,7 +650,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                 f"(mean error {mean})")
         if len(cells) >= 3 and sum(map(enters_slope_fit, stats[-len(cells):])) < 3:
             warnings.append(f"{setting.name}: too few valid cells for a slope fit")
-    if not pinned:
+    if not _one_blas_thread.found():
         warnings.append("BLAS ran at its default thread count: no bundled OpenBLAS was found")
 
     return ExperimentResult(

@@ -19,8 +19,9 @@ task runs under the caller's numpy error state, and the first error cancels
 the queued tasks and is raised after the running ones end.
 
 ``_one_blas_thread`` holds every OpenBLAS bundled with numpy and scipy at one
-thread while it is entered, so the threads of these pools are the only ones
-that compute; on the last exit it restores the counts found on the first entry.
+thread while it is entered, so BLAS's bits do not depend on its thread count
+and no idle BLAS thread spins on a core that these pools need; on the last
+exit it restores the counts found on the first entry.
 """
 
 from __future__ import annotations
@@ -167,12 +168,11 @@ def _openblas_libraries() -> list[tuple]:
 
 
 class _BlasPin:
-    """Context manager that holds BLAS at one thread; entering it returns
-    whether any library was found to pin.
+    """Context manager that holds BLAS at one thread.
 
-    Runs may enter it nested or from several threads: a depth count under a
-    lock keeps the pin until the last one exits.  The libraries are looked up
-    on the first entry, not at import.
+    It may be entered nested or from several threads: a depth count under a
+    lock keeps the pin until the last holder exits.  The libraries are looked
+    up on first use, not at import.
     """
 
     def __init__(self, find=_openblas_libraries):
@@ -182,16 +182,24 @@ class _BlasPin:
         self._libraries = None
         self._saved = []
 
-    def __enter__(self) -> bool:
+    def _found(self) -> list[tuple]:
+        # The caller holds the lock.
+        if self._libraries is None:
+            self._libraries = self._find()
+        return self._libraries
+
+    def found(self) -> bool:
+        """Whether any library was found to pin."""
         with self._lock:
-            if self._libraries is None:
-                self._libraries = self._find()
+            return bool(self._found())
+
+    def __enter__(self) -> None:
+        with self._lock:
             if self._depth == 0:
-                self._saved = [(set_, get()) for get, set_ in self._libraries]
+                self._saved = [(set_, get()) for get, set_ in self._found()]
                 for _, set_ in self._libraries:
                     set_(1)
             self._depth += 1
-            return bool(self._libraries)
 
     def __exit__(self, *exc_info) -> None:
         with self._lock:

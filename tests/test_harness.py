@@ -368,7 +368,7 @@ class TestRunExperiment:
         monkeypatch.setenv("SIEVESIM_THREADS", "1")
         assert _worker_count() == 1
         monkeypatch.delenv("SIEVESIM_THREADS")
-        assert _worker_count() == _usable_cpus()
+        assert _worker_count() == 1
 
     def test_thread_count_is_capped_at_the_usable_cpus(self, monkeypatch):
         # The CPUs this process may run on, not every CPU of the machine.
@@ -433,8 +433,41 @@ class TestRunExperiment:
             for (_, set_threads), count in zip(libraries, saved):
                 set_threads(count)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_relu_fit_gets_blas_threads_only_on_one_worker(self, tmp_path, monkeypatch,
+                                                             workers):
+        # Its bits do not depend on BLAS's thread count, so on one worker it need not pin.
+        libraries = kernels._openblas_libraries()
+        if not libraries:
+            pytest.skip("no bundled OpenBLAS to pin")
+        if _usable_cpus() < int(workers):
+            pytest.skip(f"needs {workers} usable CPUs")
+        config = parse_config(write_config(tmp_path, TINY + "[estimator relu]\n"))
+        seen = []
+
+        def spy(data, arch, train):
+            seen.append([get() for get, _ in libraries])
+            raise estimators.FitError("spy")
+
+        saved = [get() for get, _ in libraries]
+        try:
+            for _, set_threads in libraries:
+                set_threads(3)
+            monkeypatch.setenv("SIEVESIM_THREADS", workers)
+            monkeypatch.setattr(estimators, "fit_relu_sieve", spy)
+            run_experiment(config)
+            assert [get() for get, _ in libraries] == [3] * len(libraries)
+        finally:
+            for (_, set_threads), count in zip(libraries, saved):
+                set_threads(count)
+        want = 3 if workers == "1" else 1
+        assert len(seen) == 6 and all(counts == [want] * len(libraries) for counts in seen)
+
     def test_a_run_with_no_blas_to_pin_says_so_last(self, tmp_path, monkeypatch):
+        # A stand-in library for the pinned run, so the test holds where numpy bundles none.
         config = parse_config(write_config(tmp_path, TINY))
+        monkeypatch.setattr(harness, "_one_blas_thread",
+                            kernels._BlasPin(lambda: [(lambda: 1, lambda n: None)]))
         pinned = run_experiment(config)
         monkeypatch.setattr(harness, "_one_blas_thread", kernels._BlasPin(lambda: []))
         unpinned = run_experiment(config)
