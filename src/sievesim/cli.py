@@ -81,9 +81,11 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(parse_config(args.config), args)
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise ConfigError(f"output directory does not exist: {out_dir}")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory does not exist: {out.parent}")
+    if out.is_dir():
+        raise ConfigError(f"output path is a directory: {out}")
     result = run_experiment(config)
     paths = emit_results(result, fmt=args.format, path=args.out)
     for warning in result.warnings:
@@ -153,8 +155,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_slope(args) -> int:
     path = Path(args.results)
-    if not path.exists():
-        raise ConfigError(f"results file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"no results file at {path}")
     cells = parse_results_csv(path)
     slopes = slopes_from_cells(cells)
     if not slopes:

@@ -12,7 +12,9 @@ All four estimators consume a :class:`~sievesim.synthetic.NestedDataset`
 
 A fit also keeps ``fitted_values``, its predictions at the training
 scenarios, bit-identical to ``predict(data.scenarios)`` and computed as part
-of the fit; an estimator read back by :func:`load_estimator` has ``None``.
+of the fit; an estimator read back by :func:`load_estimator` has ``None``.  The
+kernel fits and a kernel expansion's ``predict`` hold BLAS at one thread
+(``kernels._one_blas_thread``); a ReLU fit's bits do not depend on BLAS's thread count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
 
-from .kernels import _BLOCK_ENTRIES, DEFAULT_JITTER, KernelSpec, as_points, kernel_matrix
+from .kernels import (_BLOCK_ENTRIES, DEFAULT_JITTER, KernelSpec, _one_blas_thread, as_points,
+                      kernel_matrix)
 from .network import ReluNetwork
 from .synthetic import NestedDataset, _evaluate
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
@@ -207,6 +210,7 @@ def _restore_gram(k: np.ndarray, diagonal: np.ndarray) -> None:
     k[np.diag_indices(n)] = diagonal
 
 
+@_one_blas_thread
 def fit_krr(
     data: NestedDataset,
     spec: KernelSpec,
@@ -280,6 +284,7 @@ def cross_validate_regularization(
     return grid[int(np.argmin(scores))]
 
 
+@_one_blas_thread
 def fit_krr_inducing(
     data: NestedDataset,
     spec: KernelSpec,

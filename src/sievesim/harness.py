@@ -23,11 +23,9 @@ Every sweep fits its (size, replication) jobs on a pool of ``SIEVESIM_THREADS`` 
 runs under the caller's numpy error state, and the first error that aborts the run
 cancels the queued jobs and is raised after the running ones end.
 
-BLAS runs at one thread (``kernels._one_blas_thread``) while a reference value is
-computed, a cell's data is simulated and a fit whose bits depend on BLAS's thread count
-runs, so the output bytes do not depend on ``OPENBLAS_NUM_THREADS``.  A ReLU fit's bits
-do not depend on it: on one worker it trains at BLAS's own thread count, on several at
-one thread each.
+Each routine whose bits depend on BLAS's thread count holds BLAS at one thread itself
+(``kernels._one_blas_thread``), so the output bytes do not depend on it; on several
+workers, which share the cores, the whole sweep holds it too.
 """
 
 from __future__ import annotations
@@ -354,16 +352,13 @@ class EstimatorKind:
     options.  ``rate(s, d)`` is the predicted plug-in error rate for
     smoothness ``s`` (None for the Gaussian kernel) in dimension ``d``, or
     None when there is no prediction.  Every n of a sweep must be at least
-    ``min_n``.  A fit runs with BLAS at one thread, except on a one-worker
-    sweep when ``one_blas_thread`` is false, which marks a fit whose bits do
-    not depend on BLAS's thread count.
+    ``min_n``.
     """
 
     fit: Callable
     rate: Callable
     options: dict[str, Option] = field(default_factory=dict)
     min_n: int = 1
-    one_blas_thread: bool = True
 
 
 # The fits call est_mod.fit_* (and the subset samplers) by name at call time,
@@ -427,8 +422,7 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
         "ridge": Option("default or a number >= 0", float, _nonnegative, {"default": None},
                         "default"),
     }),
-    # Its batch-scale products gain from BLAS's threads when no other worker needs the cores.
-    "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, one_blas_thread=False, options={
+    "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, options={
         "hidden_widths": _COUNTS._replace(default=_text(ReluArchitecture.hidden_widths)),
         "epochs": _COUNT._replace(default=_text(TrainConfig.epochs)),
         "batch_size": _AUTO_OR_COUNT._replace(default=_text(TrainConfig.batch_size)),
@@ -457,8 +451,8 @@ def _unread(key: str, mode: str) -> ConfigError:
 def parse_config(path) -> ExperimentConfig:
     """Read an experiment description from an INI-style text file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"no config file at {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as fh:
@@ -531,8 +525,7 @@ def _seed(master: int, *tags: int) -> np.random.SeedSequence:
 
 # Surfaces and references are memoized per process by the config fields that
 # determine them, so configs that share a surface build it, and compute its
-# reference, once.  A TestFunction is immutable, so sharing one is safe.  A
-# reference and a cell's data are computed with BLAS at one thread, in a run or not.
+# reference, once.  A TestFunction is immutable, so sharing one is safe.
 def config_test_function(config: ExperimentConfig):
     return _test_function(config.kernel, config.centers, config.master_seed)
 
@@ -550,9 +543,8 @@ def _test_function(kernel: KernelSpec, centers: int, master: int):
 @functools.lru_cache(maxsize=16)
 def _theta(kernel: KernelSpec, centers: int, master: int, eval_points: int,
            functional: FunctionalSpec) -> ThetaOracle:
-    with _one_blas_thread:
-        return true_theta(_test_function(kernel, centers, master), functional,
-                          eval_points=eval_points, seed=_seed(master, _THETA_TAG))
+    return true_theta(_test_function(kernel, centers, master), functional,
+                      eval_points=eval_points, seed=_seed(master, _THETA_TAG))
 
 
 def simulate_cell(config: ExperimentConfig, surface, size_index: int, replication: int):
@@ -561,10 +553,8 @@ def simulate_cell(config: ExperimentConfig, surface, size_index: int, replicatio
     scenarios = simulate_outer(
         n, config.kernel.dim,
         seed=_seed(config.master_seed, _DATA_TAG, size_index, replication, 0))
-    with _one_blas_thread:
-        return simulate_inner(
-            surface, scenarios, m, config.sigma,
-            seed=_seed(config.master_seed, _DATA_TAG, size_index, replication, 1))
+    return simulate_inner(surface, scenarios, m, config.sigma,
+                          seed=_seed(config.master_seed, _DATA_TAG, size_index, replication, 1))
 
 
 def _worker_count() -> int:
@@ -606,11 +596,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             start = time.perf_counter()
             err = failure = None
             try:
-                pin = kind.one_blas_thread or workers > 1
-                with _one_blas_thread if pin else contextlib.nullcontext():
-                    fitted = kind.fit(setting.options, data, config.kernel, fit_seed)
-                    values = (fitted.fitted_values if eval_points is None
-                              else fitted.predict(eval_points))
+                fitted = kind.fit(setting.options, data, config.kernel, fit_seed)
+                values = (fitted.fitted_values if eval_points is None
+                          else fitted.predict(eval_points))
                 estimate = evaluate_functional(values, config.functional)
                 err = abs(estimate - theta.value)
             except FitError as exc:
@@ -623,7 +611,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return out
 
     jobs = [(si, r) for si in range(len(cells)) for r in range(config.replications)]
-    with ThreadPoolExecutor(workers) as pool:
+    pin = _one_blas_thread if workers > 1 else contextlib.nullcontext()
+    with ThreadPoolExecutor(workers) as pool, pin:
         batches = _run_all(pool, run_cell, jobs)
     records = tuple(record for batch in batches for record in batch)
 

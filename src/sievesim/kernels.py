@@ -21,11 +21,13 @@ the queued tasks and is raised after the running ones end.
 ``_one_blas_thread`` holds every OpenBLAS bundled with numpy and scipy at one
 thread while it is entered, so BLAS's bits do not depend on its thread count
 and no idle BLAS thread spins on a core that these pools need; on the last
-exit it restores the counts found on the first entry.
+exit it restores the counts found on the first entry.  It decorates each routine
+in the package whose bits depend on that count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -167,8 +169,8 @@ def _openblas_libraries() -> list[tuple]:
     return found
 
 
-class _BlasPin:
-    """Context manager that holds BLAS at one thread.
+class _BlasPin(contextlib.ContextDecorator):
+    """Context manager, and function decorator, that holds BLAS at one thread.
 
     It may be entered nested or from several threads: a depth count under a
     lock keeps the pin until the last holder exits.  The libraries are looked
@@ -304,6 +306,7 @@ def gram(spec: KernelSpec, points, jitter: float = DEFAULT_JITTER) -> np.ndarray
     return entries
 
 
+@_one_blas_thread
 def rkhs_norm_sq(spec: KernelSpec, coefficients, centers) -> float:
     """Squared RKHS norm of the mixture ``(1/N) sum_i c_i k(., U_i)``.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 from .functionals import FunctionalSpec, evaluate_functional
-from .kernels import KernelSpec, as_points, kernel_matrix, rkhs_norm_sq
+from .kernels import KernelSpec, _one_blas_thread, as_points, kernel_matrix, rkhs_norm_sq
 
 __all__ = [
     "NestedDataset", "TestFunction", "ThetaOracle", "load_dataset", "load_test_function",
@@ -133,6 +133,7 @@ def eval_f(f: TestFunction, x) -> np.ndarray:
                      lambda start, stop: pts[start:stop], 1.0 / f.coefficients.size)
 
 
+@_one_blas_thread
 def _evaluate(kernel: KernelSpec, points, weights, count: int, rows, scale=1.0) -> np.ndarray:
     """``scale * sum_j weights_j k(x, points_j)`` at ``count`` points read chunk by chunk as
     ``rows(start, stop)``: the surface's loop, and every fitted kernel expansion's.

@@ -51,6 +51,14 @@ class TestRunCommand:
         assert str(missing) in capsys.readouterr().err
         assert not missing.exists()
 
+    def test_out_directory_exits_1_before_running(self, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the sweep ran before the output path was checked")
+        monkeypatch.setattr("sievesim.cli.run_experiment", no_run)
+        assert main(["run", GOLDEN_CONFIG, "--out", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["run", GOLDEN_CONFIG, "--bogus"]) == 1
 
@@ -153,6 +161,17 @@ def test_unknown_eta_error_line_is_the_message(tmp_path, capsys):
     assert main(["rates", str(cfg)]) == 1
     assert capsys.readouterr().err == ("error: bad config value: unknown eta 'bogus'; "
                                        "registered names: ['exp_clipped', 'identity', 'square']\n")
+
+
+@pytest.mark.parametrize("command", ["run", "rates", "gen", "slope"])
+def test_a_directory_in_place_of_the_input_file_exits_1_naming_it(command, tmp_path, capsys):
+    argv = [command, str(tmp_path)]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "gen")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 class TestSlopeCommand:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from sievesim import kernels
 from sievesim.estimators import (
     FitError,
     InducingKRREstimator,
@@ -32,9 +33,11 @@ from sievesim.estimators import (
     sparsity_budget,
     unit_count,
 )
+from sievesim.functionals import FunctionalSpec
 from sievesim.kernels import (
-    KernelSpec, farthest_point_sample, kernel_matrix, random_subsample)
-from sievesim.synthetic import make_test_function, simulate_inner, simulate_outer
+    KernelSpec, farthest_point_sample, kernel_matrix, random_subsample, rkhs_norm_sq)
+from sievesim.synthetic import (
+    eval_f, make_test_function, simulate_inner, simulate_outer, true_theta)
 
 
 V1_FILES = Path(__file__).parent / "data" / "v1"
@@ -161,15 +164,17 @@ class TestKRR:
         spec, _, data = make_data(n=1001, d=10, seed=86, family=family)
         lam, jitter = 1e-3, 1e-10
         est = fit_krr(data, spec, lam, jitter=jitter)
-        K = kernel_matrix(spec, data.scenarios, data.scenarios)
-        system = K.copy(order="F")
-        system[np.diag_indices(1001)] += jitter
-        system[np.diag_indices(1001)] += 1001 * lam
-        weights = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(system, lower=True, check_finite=False), data.ybar,
-            check_finite=False)
+        with kernels._one_blas_thread:  # as the fit holds it
+            K = kernel_matrix(spec, data.scenarios, data.scenarios)
+            system = K.copy(order="F")
+            system[np.diag_indices(1001)] += jitter
+            system[np.diag_indices(1001)] += 1001 * lam
+            weights = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(system, lower=True, check_finite=False), data.ybar,
+                check_finite=False)
+            fitted = K @ weights
         assert np.array_equal(est.weights, weights)
-        assert np.array_equal(est.fitted_values, K @ weights)
+        assert np.array_equal(est.fitted_values, fitted)
         assert np.array_equal(est.fitted_values, est.predict(data.scenarios))
 
     def test_holds_one_gram(self):
@@ -223,6 +228,47 @@ class TestInducingKRR:
         dup = data.scenarios[[2, 2]]
         with pytest.raises(FitError, match="without ridge: rank 1 of 2$"):
             fit_krr_inducing(data, spec, dup, ridge=0.0)
+
+
+def test_direct_calls_give_the_same_bits_at_one_and_three_blas_threads():
+    # Each routine holds BLAS at one thread itself.  Unpinned, each of these results
+    # changed its last bits between one and three threads at these sizes on a 2-core host.
+    libraries = kernels._openblas_libraries()
+    if not libraries:
+        pytest.skip("no bundled OpenBLAS to pin")
+    spec = KernelSpec.laplace(10)
+    surface = make_test_function(spec, n_centers=4002, seed=90)
+    points = simulate_outer(2500, 10, seed=91)
+
+    def compute():
+        data = simulate_inner(surface, points, 2, 0.5, seed=92)
+        krr = fit_krr(data, spec, 1e-3)
+        inducing = fit_krr_inducing(data, spec, points[:500])
+        return {
+            "simulate_inner": data.ybar,
+            "fit_krr weights": krr.weights,
+            "fit_krr fitted values": krr.fitted_values,
+            "fit_krr_inducing weights": inducing.weights,
+            "fit_krr_inducing fitted values": inducing.fitted_values,
+            "predict": krr.predict(points[::-1]),
+            "eval_f": eval_f(surface, points),
+            "true_theta": true_theta(surface, FunctionalSpec("nested_expectation", eta="identity"),
+                                     eval_points=2500, seed=93).value,
+            "rkhs_norm_sq": rkhs_norm_sq(spec, surface.coefficients, surface.centers),
+        }
+
+    saved = [get() for get, _ in libraries]
+    try:
+        runs = []
+        for count in (1, 3):
+            for _, set_threads in libraries:
+                set_threads(count)
+            runs.append(compute())
+    finally:
+        for (_, set_threads), count in zip(libraries, saved):
+            set_threads(count)
+    assert [get() for get, _ in libraries] == saved
+    assert [name for name in runs[0] if not np.array_equal(runs[0][name], runs[1][name])] == []
 
 
 class TestReluSieve:
@@ -428,7 +474,8 @@ class TestKernelExpansionPredict:
     def test_one_chunk_is_the_one_matrix_product(self, rows):
         est = self.fitted()
         x = simulate_outer(rows, 3, seed=81)
-        want = kernel_matrix(est.kernel, x, est.points) @ est.weights
+        with kernels._one_blas_thread:  # as predict holds it
+            want = kernel_matrix(est.kernel, x, est.points) @ est.weights
         assert np.array_equal(est.predict(x), want)
 
     def test_many_chunks_are_the_chunk_predicts(self):

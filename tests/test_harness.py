@@ -408,24 +408,24 @@ class TestRunExperiment:
         if not libraries:
             pytest.skip("no bundled OpenBLAS to pin")
         config = parse_config(write_config(tmp_path, TINY))
-        seen, fit = [], estimators.fit_sample_average
+        seen, factor = [], estimators.scipy.linalg.cho_factor
 
-        def spy(data):
+        def spy(*args, **kwargs):
             seen.append([get() for get, _ in libraries])
-            return fit(data)
+            return factor(*args, **kwargs)
 
-        def abort(data):
+        def abort(*args, **kwargs):
             raise ValueError("abort")
 
         saved = [get() for get, _ in libraries]
         try:
             for _, set_threads in libraries:
                 set_threads(3)
-            monkeypatch.setattr(estimators, "fit_sample_average", spy)
+            monkeypatch.setattr(estimators.scipy.linalg, "cho_factor", spy)
             run_experiment(config)
-            assert seen and all(counts == [1] * len(libraries) for counts in seen)
+            assert len(seen) == 6 and all(counts == [1] * len(libraries) for counts in seen)
             assert [get() for get, _ in libraries] == [3] * len(libraries)
-            monkeypatch.setattr(estimators, "fit_sample_average", abort)
+            monkeypatch.setattr(estimators.scipy.linalg, "cho_factor", abort)
             with pytest.raises(RuntimeError, match="failed at n=30"):
                 run_experiment(config)
             assert [get() for get, _ in libraries] == [3] * len(libraries)
