@@ -12,12 +12,17 @@ reading a file back reproduces its numbers bit for bit:
   give; a header key that a reader needs and the file lacks raises
   ``ValueError`` naming the file and the key;
 * result tables: comma-separated rows of a dataclass's fields under a header
-  naming them.
+  naming them, or a JSON document of them, with floats in shortest round-trip
+  form and ``null`` for a non-finite one.
+
+``None`` is written as ``-``, which :meth:`_Header.optional` reads back as None.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 
 import numpy as np
 
@@ -47,9 +52,8 @@ def kernel_fields(spec: KernelSpec) -> dict:
             "lengthscale": float(spec.lengthscale)}
 
 
-def kernel_from_fields(fields: dict[str, str]) -> KernelSpec:
-    nu = None if fields["nu"] == "-" else float(fields["nu"])
-    return KernelSpec(fields["family"], int(fields["dim"]), nu=nu,
+def kernel_from_fields(fields: _Header) -> KernelSpec:
+    return KernelSpec(fields["family"], int(fields["dim"]), nu=fields.optional("nu", float),
                       lengthscale=float(fields["lengthscale"]))
 
 
@@ -73,8 +77,12 @@ class _Header(dict):
     def __missing__(self, key):
         raise ValueError(f"{self.path}: the header has no {key}= field")
 
+    def optional(self, key: str, cast):
+        """Field ``key`` through ``cast``, or None where it was written as ``-``."""
+        return None if self[key] == "-" else cast(self[key])
 
-def read_table(path, kind: str) -> tuple[dict[str, str], np.ndarray]:
+
+def read_table(path, kind: str) -> tuple[_Header, np.ndarray]:
     """Header fields (as text) and the numeric rows of a columnar file; a body
     that breaks the row rule in the module docstring raises ``ValueError``."""
     with open(path) as fh:
@@ -100,6 +108,14 @@ def csv_text(cls, rows) -> str:
     lines = [",".join(f.name for f in dataclasses.fields(cls))]
     lines += [",".join(_token(v) for v in dataclasses.astuple(row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def json_text(**tables) -> str:
+    """One JSON document mapping each keyword to its list of dataclass rows."""
+    doc = {name: [{key: None if isinstance(value, float) and not math.isfinite(value) else value
+                   for key, value in dataclasses.asdict(row).items()} for row in rows]
+           for name, rows in tables.items()}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def read_csv(path, cls) -> list:

@@ -26,6 +26,7 @@ from .harness import (
     SlopeFit,
     config_test_function,
     emit_results,
+    output_paths,
     parse_config,
     parse_results_csv,
     run_experiment,
@@ -79,13 +80,18 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
+def _check_writable(paths) -> None:
+    """Reject, before any work, an output file whose directory is missing or that is one."""
+    for path in paths:
+        if not path.parent.is_dir():
+            raise ConfigError(f"output directory does not exist: {path.parent}")
+        if path.is_dir():
+            raise ConfigError(f"output path is a directory: {path}")
+
+
 def _cmd_run(args) -> int:
     config = _apply_overrides(parse_config(args.config), args)
-    out = Path(args.out)
-    if not out.parent.is_dir():
-        raise ConfigError(f"output directory does not exist: {out.parent}")
-    if out.is_dir():
-        raise ConfigError(f"output path is a directory: {out}")
+    _check_writable(output_paths(args.format, args.out))
     result = run_experiment(config)
     paths = emit_results(result, fmt=args.format, path=args.out)
     for warning in result.warnings:
@@ -141,13 +147,16 @@ def _cmd_gen(args) -> int:
         raise ConfigError(f"replication {args.replication} out of range "
                           f"(config has {config.replications})")
     out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output path is not a directory: {out_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    surface = config_test_function(config)
     fn_path = out_dir / "test_function.txt"
+    data_path = out_dir / f"dataset_c{args.cell}_r{args.replication}.txt"
+    _check_writable([fn_path, data_path])
+    surface = config_test_function(config)
     save_test_function(surface, fn_path)
     print(f"wrote {fn_path}")
     data = simulate_cell(config, surface, args.cell, args.replication)
-    data_path = out_dir / f"dataset_c{args.cell}_r{args.replication}.txt"
     save_dataset(data, data_path)
     print(f"wrote {data_path}")
     return 0

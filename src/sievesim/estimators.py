@@ -596,8 +596,7 @@ def load_estimator(path):
                    regularization=float(fields[cls.regularization_field]), meta=meta)
     if kind == "relu":
         widths = tuple(int(w) for w in fields["hidden"].split(","))
-        sparsity = None if fields["sparsity"] == "-" else int(fields["sparsity"])
-        arch = ReluArchitecture(hidden_widths=widths, sparsity=sparsity,
+        arch = ReluArchitecture(hidden_widths=widths, sparsity=fields.optional("sparsity", int),
                                 max_param=float(fields["max_param"]))
         net = ReluNetwork(arch.layer_dims(int(fields["dim"])), seed=0)
         if data.shape != (net.num_params, 1):

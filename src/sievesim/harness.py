@@ -3,7 +3,8 @@
 A run sweeps scenario counts (or total budgets under an allocation scheme),
 replicates each cell with fresh data, fits every configured estimator on the
 same data, and records the absolute error of the plug-in functional against
-a high-resolution Monte Carlo reference.
+a high-resolution Monte Carlo reference.  ``emit_results`` writes the tables
+to exactly the files that ``output_paths`` lists.
 
 Seed layout: all randomness derives from ``master_seed`` through
 ``numpy.random.SeedSequence`` with fixed integer tags, so any cell can be
@@ -34,7 +35,6 @@ import configparser
 import contextlib
 import dataclasses
 import functools
-import json
 import math
 import os
 import time
@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import estimators as est_mod
-from ._textio import csv_text, read_csv
+from ._textio import csv_text, json_text, read_csv
 from .estimators import FitError, ReluArchitecture, TrainConfig
 from .functionals import FunctionalSpec, evaluate_functional
 from .kernels import (DEFAULT_JITTER, KernelSpec, _one_blas_thread, _run_all, _usable_cpus,
@@ -639,7 +639,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                 f"(mean error {mean})")
         if len(cells) >= 3 and sum(map(enters_slope_fit, stats[-len(cells):])) < 3:
             warnings.append(f"{setting.name}: too few valid cells for a slope fit")
-    if not _one_blas_thread.found():
+    if not _one_blas_thread.libraries:
         warnings.append("BLAS ran at its default thread count: no bundled OpenBLAS was found")
 
     return ExperimentResult(
@@ -660,31 +660,28 @@ def slope_sibling_path(path) -> Path:
     return path.with_name(path.stem + "_slopes" + path.suffix)
 
 
+def output_paths(fmt: str, path) -> list[Path]:
+    """The files :func:`emit_results` writes: ``path`` and, for CSV, its slope sibling."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    path = Path(path)
+    return [path, slope_sibling_path(path)] if fmt == "csv" else [path]
+
+
 def emit_results(result: ExperimentResult, fmt: str = "csv", path="results.csv") -> list[Path]:
     """Write per-cell statistics (with a slope companion file for CSV).
 
     CSV columns are fixed; floats carry 17 significant digits so parsing the
     file back reproduces them bit for bit.  JSON mirrors the same fields in
-    one document, with a non-finite float (a cell with no fitted replication)
-    as ``null``, since JSON has no NaN.  Returns the paths written.
+    one document (:func:`~sievesim._textio.json_text`).  Writes, and returns,
+    exactly ``output_paths(fmt, path)``.
     """
-    path = Path(path)
-    if fmt == "csv":
-        slope_path = slope_sibling_path(path)
-        path.write_text(csv_text(CellStats, result.cells), newline="\n")
-        slope_path.write_text(csv_text(SlopeFit, result.slopes), newline="\n")
-        return [path, slope_path]
-    if fmt == "json":
-        doc = {"cells": [_json_fields(c) for c in result.cells],
-               "slopes": [_json_fields(s) for s in result.slopes]}
-        path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", newline="\n")
-        return [path]
-    raise ValueError(f"unknown output format {fmt!r}")
-
-
-def _json_fields(row) -> dict:
-    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
-            for key, value in dataclasses.asdict(row).items()}
+    paths = output_paths(fmt, path)
+    texts = ([csv_text(CellStats, result.cells), csv_text(SlopeFit, result.slopes)]
+             if fmt == "csv" else [json_text(cells=result.cells, slopes=result.slopes)])
+    for written, text in zip(paths, texts, strict=True):
+        written.write_text(text, newline="\n")
+    return paths
 
 
 def parse_results_csv(path) -> list[CellStats]:

@@ -18,11 +18,11 @@ child.  Its blocks and the harness's sweep jobs run through ``_run_all``: each
 task runs under the caller's numpy error state, and the first error cancels
 the queued tasks and is raised after the running ones end.
 
-``_one_blas_thread`` holds every OpenBLAS bundled with numpy and scipy at one
-thread while it is entered, so BLAS's bits do not depend on its thread count
-and no idle BLAS thread spins on a core that these pools need; on the last
-exit it restores the counts found on the first entry.  It decorates each routine
-in the package whose bits depend on that count.
+``_one_blas_thread`` holds every OpenBLAS bundled with numpy and scipy, found at
+import, at one thread while it is entered, so BLAS's bits do not depend on its
+thread count and no idle BLAS thread spins on a core that these pools need; on
+the last exit it restores the counts found on the first entry.  It decorates
+each routine in the package whose bits depend on that count.
 """
 
 from __future__ import annotations
@@ -170,36 +170,23 @@ def _openblas_libraries() -> list[tuple]:
 
 
 class _BlasPin(contextlib.ContextDecorator):
-    """Context manager, and function decorator, that holds BLAS at one thread.
+    """Context manager, and function decorator, that holds BLAS ``libraries`` at one thread.
 
     It may be entered nested or from several threads: a depth count under a
-    lock keeps the pin until the last holder exits.  The libraries are looked
-    up on first use, not at import.
+    lock keeps the pin until the last holder exits.
     """
 
-    def __init__(self, find=_openblas_libraries):
-        self._find = find
+    def __init__(self, libraries: list[tuple]):
+        self.libraries = libraries
         self._lock = threading.Lock()
         self._depth = 0
-        self._libraries = None
         self._saved = []
-
-    def _found(self) -> list[tuple]:
-        # The caller holds the lock.
-        if self._libraries is None:
-            self._libraries = self._find()
-        return self._libraries
-
-    def found(self) -> bool:
-        """Whether any library was found to pin."""
-        with self._lock:
-            return bool(self._found())
 
     def __enter__(self) -> None:
         with self._lock:
             if self._depth == 0:
-                self._saved = [(set_, get()) for get, set_ in self._found()]
-                for _, set_ in self._libraries:
+                self._saved = [(set_, get()) for get, set_ in self.libraries]
+                for _, set_ in self.libraries:
                     set_(1)
             self._depth += 1
 
@@ -211,7 +198,7 @@ class _BlasPin(contextlib.ContextDecorator):
                     set_(count)
 
 
-_one_blas_thread = _BlasPin()
+_one_blas_thread = _BlasPin(_openblas_libraries())
 
 
 def _new_pool() -> None:

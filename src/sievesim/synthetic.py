@@ -235,7 +235,7 @@ def load_test_function(path) -> TestFunction:
         kernel=kernel_from_fields(fields),
         centers=data[:, :-1],
         coefficients=data[:, -1],
-        seed=None if fields["seed"] == "-" else int(fields["seed"]),
+        seed=fields.optional("seed", int),
         norm_sq=float(fields["norm_sq"]),
     )
 
@@ -255,5 +255,5 @@ def load_dataset(path) -> NestedDataset:
         ybar=data[:, -1],
         m=int(fields["m"]),
         noise_sigma=float(fields["sigma"]),
-        seed=None if fields["seed"] == "-" else int(fields["seed"]),
+        seed=fields.optional("seed", int),
     )

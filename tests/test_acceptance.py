@@ -14,7 +14,9 @@ summary) and asserts the criterion it covers:
 7. repeat runs of the criterion-2 config emit byte-identical CSVs.
 
 Criteria 1-3 rerun their shipped configs from configs/, so this module
-takes several minutes; everything is single-threaded and seeded.
+takes several minutes. Everything is seeded. Each sweep fits its cells on one
+worker (the default), while kernel matrices fill their row blocks on every
+usable CPU; the bytes do not depend on either count.
 """
 
 import math

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sievesim import cli
 from sievesim.cli import main
 from sievesim.harness import parse_config, parse_results_csv, run_experiment
 from sievesim.synthetic import load_dataset, load_test_function
@@ -40,24 +41,6 @@ class TestRunCommand:
                        "warp = 9\n\n[estimator krr]\n")
         assert main(["run", str(bad)]) == 1
         assert "warp" in capsys.readouterr().err
-
-    def test_missing_out_directory_exits_1_before_running(self, tmp_path, capsys,
-                                                          monkeypatch):
-        def no_run(config):
-            raise AssertionError("the sweep ran before the output path was checked")
-        monkeypatch.setattr("sievesim.cli.run_experiment", no_run)
-        missing = tmp_path / "nodir"
-        assert main(["run", GOLDEN_CONFIG, "--out", str(missing / "x.csv")]) == 1
-        assert str(missing) in capsys.readouterr().err
-        assert not missing.exists()
-
-    def test_out_directory_exits_1_before_running(self, tmp_path, capsys, monkeypatch):
-        def no_run(config):
-            raise AssertionError("the sweep ran before the output path was checked")
-        monkeypatch.setattr("sievesim.cli.run_experiment", no_run)
-        assert main(["run", GOLDEN_CONFIG, "--out", str(tmp_path)]) == 1
-        assert str(tmp_path) in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["run", GOLDEN_CONFIG, "--bogus"]) == 1
@@ -172,6 +155,42 @@ def test_a_directory_in_place_of_the_input_file_exits_1_naming_it(command, tmp_p
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command, flags, out, dirs, files, bad", [
+    ("run", [], "o", ["o"], [], "o"),
+    ("run", [], "nodir/x.csv", [], [], "nodir"),
+    ("run", [], "s.csv", ["s_slopes.csv"], [], "s_slopes.csv"),
+    ("run", ["--format", "json"], "s.json", ["s_slopes.json"], [], None),
+    ("gen", [], "afile", [], ["afile"], "afile"),
+    ("gen", [], "d", ["d/test_function.txt"], [], "d/test_function.txt"),
+    ("gen", [], "d", ["d/dataset_c0_r0.txt"], [], "d/dataset_c0_r0.txt"),
+], ids=["run_out_is_a_directory", "run_out_directory_missing", "run_slopes_sibling_is_a_directory",
+        "run_json_writes_no_sibling", "gen_out_is_a_file", "gen_function_file_is_a_directory",
+        "gen_dataset_file_is_a_directory"])
+def test_every_output_path_is_checked_before_any_work(command, flags, out, dirs, files, bad,
+                                                      tmp_path, capsys, monkeypatch):
+    # A bad path exits 1 naming it, before the sweep or the surface is built, and
+    # writes nothing; a path that the format does not write is not checked.
+    called = []
+    for name in ("run_experiment", "config_test_function"):
+        def spy(*args, name=name, real=getattr(cli, name)):
+            called.append(name)
+            return real(*args)
+        monkeypatch.setattr(cli, name, spy)
+    for d in dirs:
+        (tmp_path / d).mkdir(parents=True)
+    for f in files:
+        (tmp_path / f).touch()
+    before = sorted(tmp_path.rglob("*"))
+    code = main([command, GOLDEN_CONFIG, *flags, "--out", str(tmp_path / out)])
+    if bad is None:
+        assert code == 0 and (tmp_path / out).is_file()
+        return
+    assert code == 1
+    assert str(tmp_path / bad) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert called == []
 
 
 class TestSlopeCommand:

@@ -29,6 +29,7 @@ from sievesim.harness import (
     emit_results,
     enters_slope_fit,
     fit_loglog_slope,
+    output_paths,
     parse_config,
     parse_results_csv,
     run_experiment,
@@ -467,9 +468,9 @@ class TestRunExperiment:
         # A stand-in library for the pinned run, so the test holds where numpy bundles none.
         config = parse_config(write_config(tmp_path, TINY))
         monkeypatch.setattr(harness, "_one_blas_thread",
-                            kernels._BlasPin(lambda: [(lambda: 1, lambda n: None)]))
+                            kernels._BlasPin([(lambda: 1, lambda n: None)]))
         pinned = run_experiment(config)
-        monkeypatch.setattr(harness, "_one_blas_thread", kernels._BlasPin(lambda: []))
+        monkeypatch.setattr(harness, "_one_blas_thread", kernels._BlasPin([]))
         unpinned = run_experiment(config)
         assert unpinned.warnings == (*pinned.warnings, "BLAS ran at its default thread count: "
                                                         "no bundled OpenBLAS was found")
@@ -712,6 +713,18 @@ class TestEmission:
             "estimator,n,m,replications,mean_abs_error,std_abs_error,"
             "wall_time_s\n")
         assert paths[1].read_text() == "estimator,slope,intercept,slope_stderr\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writes_and_returns_exactly_the_output_paths(self, fmt, tmp_path):
+        theta = config_theta(parse_config(DATA / "golden_config.ini"))
+        empty = ExperimentResult(cells=(), slopes=(), theta=theta)
+        want = output_paths(fmt, tmp_path / f"res.{fmt}")
+        assert emit_results(empty, fmt=fmt, path=tmp_path / f"res.{fmt}") == want
+        assert sorted(tmp_path.iterdir()) == sorted(want)
+
+    def test_an_unknown_format_has_no_output_paths(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            output_paths("xml", tmp_path / "res.xml")
 
     def test_csv_round_trip(self, tmp_path):
         config = parse_config(DATA / "golden_config.ini")

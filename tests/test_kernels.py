@@ -413,7 +413,7 @@ def test_blas_pin_holds_until_the_last_holder_exits():
     # Eight threads enter and leave one pin with a short switch interval: a lost
     # update to its depth would show a count other than 1 inside or 4 after.
     count, wrong = [4], []
-    pin = kernels._BlasPin(lambda: [(lambda: count[0], lambda n: count.__setitem__(0, n))])
+    pin = kernels._BlasPin([(lambda: count[0], lambda n: count.__setitem__(0, n))])
 
     def hold(_):
         for _ in range(300):

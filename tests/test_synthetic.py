@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import erf
 
 from sievesim import kernels, synthetic
-from sievesim.functionals import FunctionalSpec
+from sievesim.functionals import FunctionalSpec, resolve_eta
+from sievesim.harness import config_test_function, parse_config
 from sievesim.kernels import KernelSpec, eval_kernel, kernel_matrix, rkhs_norm_sq
 from sievesim.synthetic import (
     load_dataset,
@@ -23,6 +25,24 @@ from sievesim.synthetic import (
 )
 
 V1_FILES = Path(__file__).parent / "data" / "v1"
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def gaussian_moments(f) -> tuple[float, float]:
+    """Exact E f(U) and E f(U)^2, U uniform on the unit cube, for a Gaussian-kernel surface.
+
+    exp(-||x - a||^2 / d) is a product over coordinates of 1-D Gaussians, whose
+    integrals over [0, 1] are erf differences; for E f^2 the product of two
+    Gaussians is one, by (x - a)^2 + (x - b)^2 = 2 (x - (a + b)/2)^2 + (a - b)^2 / 2.
+    """
+    d, u, c = f.dim, f.centers, f.coefficients
+    one = math.sqrt(math.pi * d) / 2 * (erf((1 - u) / math.sqrt(d)) + erf(u / math.sqrt(d)))
+    pair = np.ones((c.size, c.size))
+    for a in u.T:
+        mid, gap = (a[:, None] + a) / 2, a[:, None] - a
+        pair *= np.exp(-gap**2 / (2 * d)) * math.sqrt(math.pi * d / 2) / 2 * (
+            erf((1 - mid) * math.sqrt(2 / d)) + erf(mid * math.sqrt(2 / d)))
+    return float(c @ one.prod(axis=1)) / c.size, float(c @ pair @ c) / c.size**2
 
 
 class TestMakeTestFunction:
@@ -183,6 +203,18 @@ class TestTrueTheta:
         oracle = true_theta(f, FunctionalSpec.value_at_risk(0.5),
                             eval_points=eval_points, seed=31)
         assert abs(oracle.value - math.exp(-0.5)) <= 2.0 / math.sqrt(eval_points)
+
+    @pytest.mark.parametrize("stem", ["standard_rate_d1", "var_ordering_d10"])
+    def test_matches_the_closed_form_on_gaussian_surfaces(self, stem):
+        # An oracle independent of the kernel code: the exact moments lie within
+        # 4 Monte Carlo standard errors, estimated on fresh points, of the reference.
+        f = config_test_function(parse_config(CONFIGS / f"{stem}.ini"))
+        eval_points = 200_000
+        fresh = f(simulate_outer(20_000, f.dim, seed=36))
+        for eta, exact in zip(["identity", "square"], gaussian_moments(f)):
+            oracle = true_theta(f, FunctionalSpec.expectation(eta), eval_points, seed=35)
+            se = resolve_eta(eta)(fresh).std(ddof=1) / math.sqrt(eval_points)
+            assert abs(oracle.value - exact) <= 4.0 * se, (eta, oracle.value, exact, se)
 
     def test_two_resolutions_agree(self):
         """10^6-point and 10^4-point references agree within MC error.
