@@ -147,8 +147,11 @@ def _cmd_gen(args) -> int:
         raise ConfigError(f"replication {args.replication} out of range "
                           f"(config has {config.replications})")
     out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ConfigError(f"output path is not a directory: {out_dir}")
+    # The nearest existing path at or above --out must be a directory, or mkdir fails.
+    nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
+    if nearest.exists() and not nearest.is_dir():
+        below = "" if nearest == out_dir else f" ({nearest} is a file)"
+        raise ConfigError(f"output path is not a directory: {out_dir}{below}")
     out_dir.mkdir(parents=True, exist_ok=True)
     fn_path = out_dir / "test_function.txt"
     data_path = out_dir / f"dataset_c{args.cell}_r{args.replication}.txt"

@@ -26,8 +26,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
 
-from .kernels import (_BLOCK_ENTRIES, DEFAULT_JITTER, KernelSpec, _one_blas_thread, as_points,
-                      kernel_matrix)
+from .kernels import DEFAULT_JITTER, KernelSpec, _one_blas_thread, as_points, kernel_matrix
 from .network import ReluNetwork
 from .synthetic import NestedDataset, _evaluate
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
@@ -195,18 +194,23 @@ def _krr_system(k: np.ndarray, jitter: float, shift: float) -> np.ndarray:
     return system
 
 
+# Side of a mirror tile: 2^16 entries, whose transposed read stays in cache.
+_MIRROR_TILE = 256
+
+
 def _restore_gram(k: np.ndarray, diagonal: np.ndarray) -> None:
     """Make ``K`` whole again from its strict lower triangle and ``diagonal``.
-    It mirrors in row blocks, so each transposed copy holds at most
-    ``_BLOCK_ENTRIES`` entries."""
+    It mirrors in square tiles of at most ``_MIRROR_TILE`` rows, so each
+    transposed copy is small and reads few rows of ``K`` at a time."""
     n = k.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    for start in range(0, n, _MIRROR_TILE):
+        stop = min(start + _MIRROR_TILE, n)
         square = k[start:stop, start:stop]
         upper = np.triu_indices(stop - start, 1)
         square[upper] = square.T[upper]
-        k[start:stop, stop:] = k[stop:, start:stop].T
+        for col in range(stop, n, _MIRROR_TILE):
+            end = min(col + _MIRROR_TILE, n)
+            k[start:stop, col:end] = k[col:end, start:stop].T
     k[np.diag_indices(n)] = diagonal
 
 

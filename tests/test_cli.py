@@ -163,11 +163,12 @@ def test_a_directory_in_place_of_the_input_file_exits_1_naming_it(command, tmp_p
     ("run", [], "s.csv", ["s_slopes.csv"], [], "s_slopes.csv"),
     ("run", ["--format", "json"], "s.json", ["s_slopes.json"], [], None),
     ("gen", [], "afile", [], ["afile"], "afile"),
+    ("gen", [], "afile/sub", [], ["afile"], "afile/sub"),
     ("gen", [], "d", ["d/test_function.txt"], [], "d/test_function.txt"),
     ("gen", [], "d", ["d/dataset_c0_r0.txt"], [], "d/dataset_c0_r0.txt"),
 ], ids=["run_out_is_a_directory", "run_out_directory_missing", "run_slopes_sibling_is_a_directory",
-        "run_json_writes_no_sibling", "gen_out_is_a_file", "gen_function_file_is_a_directory",
-        "gen_dataset_file_is_a_directory"])
+        "run_json_writes_no_sibling", "gen_out_is_a_file", "gen_out_is_below_a_file",
+        "gen_function_file_is_a_directory", "gen_dataset_file_is_a_directory"])
 def test_every_output_path_is_checked_before_any_work(command, flags, out, dirs, files, bad,
                                                       tmp_path, capsys, monkeypatch):
     # A bad path exits 1 naming it, before the sweep or the surface is built, and

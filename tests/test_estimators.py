@@ -478,6 +478,35 @@ class TestKernelExpansionPredict:
             want = kernel_matrix(est.kernel, x, est.points) @ est.weights
         assert np.array_equal(est.predict(x), want)
 
+    @pytest.mark.parametrize("width", [40, 1000])
+    def test_many_chunks_are_the_one_matrix_product(self, width):
+        # Chunks are multiples of 4 rows, which keep the one-thread GEMV's bits.
+        spec = KernelSpec.laplace(3)
+        rng = np.random.default_rng(88)
+        est = KRREstimator(spec, rng.random((width, 3)), rng.standard_normal(width), 0.0, None)
+        x = simulate_outer(10_050, 3, seed=89)
+        with kernels._one_blas_thread:  # as predict holds it
+            want = kernel_matrix(spec, x, est.points) @ est.weights
+        assert np.array_equal(est.predict(x), want)
+
+    @pytest.mark.parametrize("threads", [1, 3, 8])
+    def test_pool_size_keeps_the_bits(self, kernel_pool, threads):
+        # The chunk is sized by the pool's threads (2,096 to 10,000 rows at 1,000
+        # centers); eval_f, true_theta and predict have the same bits at any size.
+        f = make_test_function(KernelSpec.laplace(3), n_centers=1000, seed=90)
+        est = KRREstimator(f.kernel, f.centers, f.coefficients, 0.0, None)
+        x = simulate_outer(10_050, 3, seed=91)
+        func = FunctionalSpec.expectation("square")
+
+        def outputs():
+            return (eval_f(f, x), true_theta(f, func, eval_points=10_050, seed=92).value,
+                    est.predict(x))
+
+        default = outputs()
+        kernel_pool(threads)
+        for got, want in zip(outputs(), default):
+            assert np.array_equal(got, want)
+
     def test_many_chunks_are_the_chunk_predicts(self):
         est = self.fitted()
         x = simulate_outer(25_000, 3, seed=82)

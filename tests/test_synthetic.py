@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,16 @@ class TestSimulateInner:
         b = simulate_inner(f, x, 3, 0.7, seed=26)
         assert_allclose(a.ybar, b.ybar, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("n, m, budget", [(40, 5, 35), (9, 1000, 2500)])
+    def test_noise_blocks_keep_the_one_block_bits(self, monkeypatch, n, m, budget):
+        # Row-major draws and per-row means do not depend on how many rows a block holds.
+        f = make_test_function(KernelSpec.laplace(2), n_centers=5, seed=24)
+        x = simulate_outer(n, 2, seed=25)
+        whole = simulate_inner(f, x, m, 0.7, seed=26).ybar
+        monkeypatch.setattr(synthetic, "_chunk_entries", lambda: budget)
+        assert -(-n * m // budget) > 2  # several noise blocks
+        assert np.array_equal(simulate_inner(f, x, m, 0.7, seed=26).ybar, whole)
+
     def test_m_validation(self):
         spec = KernelSpec.laplace(2)
         f = make_test_function(spec, n_centers=5, seed=27)
@@ -194,6 +205,21 @@ class TestTrueTheta:
                             eval_points=eval_points, seed=30)
         pts = np.random.default_rng(30).random((eval_points, 4))
         assert oracle.value == np.mean(f(pts) ** 2)
+
+    def test_holds_four_kernel_blocks_per_pool_thread(self, kernel_pool):
+        # At 1,000 centers two threads get a chunk of 4,192 rows (33.5 MB), not 10,000 (80 MB).
+        kernel_pool(2)
+        f = make_test_function(KernelSpec.laplace(3), n_centers=1000, seed=31)
+        func = FunctionalSpec.expectation("square")
+        true_theta(f, func, eval_points=1_000, seed=32)  # warm-up: the block pool's first use
+        tracemalloc.start()
+        try:
+            true_theta(f, func, eval_points=100_000, seed=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 4 * 2 * kernels._BLOCK_ENTRIES * 8
+        assert peak < chunk + 100_000 * 3 * 8 + 100_000 * 8 + 2**20, peak
 
     def test_median_of_uniform(self):
         # One Laplace center at 0 in d = 1: f(x) = exp(-x), decreasing, so the
