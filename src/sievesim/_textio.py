@@ -119,12 +119,29 @@ def json_text(**tables) -> str:
 
 
 def read_csv(path, cls) -> list:
-    """Rows written by :func:`csv_text`, parsed back into ``cls`` instances."""
+    """Rows written by :func:`csv_text`, parsed back into ``cls`` instances; a line that
+    is not UTF-8 text or not such a row raises ``ValueError`` naming the file and line."""
     fields = dataclasses.fields(cls)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ",".join(f.name for f in fields):
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return [cls(*(_CSV_TYPES[f.type](v) for f, v in zip(fields, row, strict=True)))
-            for row in rows]
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    rows = []
+    for number, raw in enumerate(lines, 1):
+        try:  # a UnicodeDecodeError is a ValueError
+            line = raw.decode("utf-8").strip()
+            if number == 1 and line != ",".join(f.name for f in fields):
+                raise ValueError(f"unexpected CSV header: {line!r}")
+            if number > 1 and line:
+                values = line.split(",")
+                if len(values) != len(fields):
+                    raise ValueError(f"{len(values)} fields, the header names {len(fields)}")
+                rows.append(cls(*map(_csv_value, fields, values)))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+    return rows
+
+
+def _csv_value(field: dataclasses.Field, text: str):
+    try:
+        return _CSV_TYPES[field.type](text)
+    except ValueError as exc:
+        raise ValueError(f"field {field.name}: {exc}") from None

@@ -233,7 +233,7 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate estimator names in {names}")
         cells = self.cells()
         for setting in self.estimators:
-            need = ESTIMATOR_KINDS[setting.kind].min_n
+            need = ESTIMATOR_KINDS[setting.kind].min_n(setting.options)
             if any(n < need for n, _ in cells):
                 raise ConfigError(f"{'sizes' if self.sizes is not None else 'budgets'}: "
                                   f"estimator {setting.name!r} ({setting.kind}) needs n >= {need} "
@@ -352,13 +352,13 @@ class EstimatorKind:
     options.  ``rate(s, d)`` is the predicted plug-in error rate for
     smoothness ``s`` (None for the Gaussian kernel) in dimension ``d``, or
     None when there is no prediction.  Every n of a sweep must be at least
-    ``min_n``.
+    ``min_n(options)``.
     """
 
     fit: Callable
     rate: Callable
     options: dict[str, Option] = field(default_factory=dict)
-    min_n: int = 1
+    min_n: Callable = lambda options: 1
 
 
 # The fits call est_mod.fit_* (and the subset samplers) by name at call time,
@@ -413,15 +413,15 @@ ESTIMATOR_KINDS: dict[str, EstimatorKind] = {
         "lambda": Option("default, cv or a number >= 0", float, _nonnegative,
                          {"default": "default", "cv": "cv"}, "default"),
         "jitter": Option("a number >= 0", float, _nonnegative, default=repr(DEFAULT_JITTER)),
-    }),
-    "inducing_krr": EstimatorKind(fit=_fit_inducing, rate=_kernel_rate, min_n=2, options={
+    }, min_n=lambda options: 5 if options["lambda"] == "cv" else 1),  # cv scores 5 folds
+    "inducing_krr": EstimatorKind(fit=_fit_inducing, rate=_kernel_rate, options={
         "schedule": Option("experiment, theory or an integer >= 1", int, _integer,
                            {"experiment": "experiment", "theory": "theory"}, "experiment"),
         "selection": Option("random or farthest",
                             words={"random": "random", "farthest": "farthest"}, default="random"),
         "ridge": Option("default or a number >= 0", float, _nonnegative, {"default": None},
                         "default"),
-    }),
+    }, min_n=lambda options: 2),
     "relu": EstimatorKind(fit=_fit_relu, rate=_relu_rate, options={
         "hidden_widths": _COUNTS._replace(default=_text(ReluArchitecture.hidden_widths)),
         "epochs": _COUNT._replace(default=_text(TrainConfig.epochs)),
@@ -455,9 +455,9 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"no config file at {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return config_from_parser(parser)
 
@@ -680,7 +680,7 @@ def emit_results(result: ExperimentResult, fmt: str = "csv", path="results.csv")
     texts = ([csv_text(CellStats, result.cells), csv_text(SlopeFit, result.slopes)]
              if fmt == "csv" else [json_text(cells=result.cells, slopes=result.slopes)])
     for written, text in zip(paths, texts, strict=True):
-        written.write_text(text, newline="\n")
+        written.write_text(text, encoding="utf-8", newline="\n")
     return paths
 
 

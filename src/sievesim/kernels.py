@@ -207,11 +207,6 @@ def _new_pool() -> None:
     _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="sievesim-kernel")
 
 
-def _pool_threads() -> int:
-    """Threads of the kernel-block pool."""
-    return _pool._max_workers
-
-
 _new_pool()  # no thread starts before the first task
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)

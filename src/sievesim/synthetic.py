@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 from .functionals import FunctionalSpec, evaluate_functional
 from .kernels import KernelSpec, _one_blas_thread, as_points, kernel_matrix, rkhs_norm_sq
@@ -33,12 +32,9 @@ __all__ = [
 ]
 
 _EVAL_CHUNK = 10_000  # rows; the most that one evaluation chunk holds
-
-
-def _chunk_entries() -> int:
-    """Entries of one evaluation chunk or noise block: four kernel blocks per
-    kernel-pool thread, so one pool round trip hands each thread several blocks."""
-    return 4 * kernels._BLOCK_ENTRIES * kernels._pool_threads()
+# Entries of one evaluation chunk or noise block: 32 MiB of float64, eight kernel
+# blocks, whatever the CPU count, so a call holds at most one such buffer.
+_CHUNK_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -144,12 +140,13 @@ def _evaluate(kernel: KernelSpec, points, weights, count: int, rows, scale=1.0) 
     """``scale * sum_j weights_j k(x, points_j)`` at ``count`` points read chunk by chunk as
     ``rows(start, stop)``: the surface's loop, and every fitted kernel expansion's.
 
-    Each call has its own kernel buffer of at most ``_chunk_entries()`` entries
-    (or 4 rows), so concurrent calls share none.  A chunk is a multiple of 4 rows,
-    at most ``_EVAL_CHUNK``, with one GEMV each: at one BLAS thread, OpenBLAS's
-    GEMV gives every row the bits of one product over all ``count`` points.
+    Each call has its own kernel buffer of at most ``_CHUNK_ENTRIES`` entries
+    (or 4 rows), so concurrent calls share none, and the buffer does not grow
+    with the kernel pool's size.  A chunk is a multiple of 4 rows, at most
+    ``_EVAL_CHUNK``, with one GEMV each: at one BLAS thread, OpenBLAS's GEMV
+    gives every row the bits of one product over all ``count`` points.
     """
-    chunk = min(_EVAL_CHUNK, max(4, _chunk_entries() // max(1, weights.size) // 4 * 4))
+    chunk = min(_EVAL_CHUNK, max(4, _CHUNK_ENTRIES // max(1, weights.size) // 4 * 4))
     out = np.empty(count)
     buffer = np.empty((min(count, chunk), weights.size))
     for start in range(0, count, chunk):
@@ -184,7 +181,7 @@ def simulate_inner(f: TestFunction, scenarios, m: int, sigma: float, seed=0) -> 
     values = eval_f(f, pts)
     n = pts.shape[0]
     ybar = np.empty(n)
-    rows = max(1, _chunk_entries() // m)  # row-major draws: the split keeps their bits
+    rows = max(1, _CHUNK_ENTRIES // m)  # row-major draws: the split keeps their bits
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         noise = rng.standard_normal((stop - start, m))

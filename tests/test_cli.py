@@ -81,6 +81,11 @@ VAR = BASE + "functional = var\ntau = 0.95\n"
     (BASE.replace("replications", "sigma = -1\nreplications") + "[estimator krr]\n", {}, "sigma"),
     (BASE.replace("sizes = 20 40", "budgets = 5") + "[estimator krr]\n", {}, "budgets"),
     (BASE.replace("sizes = 20 40", "sizes = 1 20") + "[estimator inducing_krr]\n", {}, "sizes"),
+    (BASE.replace("sizes = 20 40", "sizes = 3 4 6") + "[estimator krr]\nlambda = cv\n", {},
+     "sizes: estimator 'krr' (krr) needs n >= 5"),
+    # A budget of 8 gives n = 4 scenarios under the standard allocation.
+    (BASE.replace("sizes = 20 40", "budgets = 8 1000") + "[estimator krr]\nlambda = cv\n", {},
+     "budgets: estimator 'krr' (krr) needs n >= 5"),
     (BASE + "[estimator sample_average]\n[estimatorsample_average]\n", {}, "sample_average"),
     (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "abc"}, "SIEVESIM_THREADS"),
     (BASE + "[estimator krr]\n", {"SIEVESIM_THREADS": "0"}, "SIEVESIM_THREADS"),
@@ -100,7 +105,8 @@ VAR = BASE + "functional = var\ntau = 0.95\n"
     (BASE + "alpha = 0.5\n[estimator krr]\n", {}, "'alpha'"),
     (VAR + "beta = 0.5\n[estimator krr]\n", {}, "'beta'"),
     (BASE.replace("d = 2", "d = 0") + "[estimator krr]\n", {}, "d = '0'"),
-], ids=["selection", "epochs", "lambda", "sigma", "budgets", "inducing_n1", "duplicate_name",
+], ids=["selection", "epochs", "lambda", "sigma", "budgets", "inducing_n1", "cv_sizes_n3",
+        "cv_budgets_n4", "duplicate_name",
         "threads_abc", "threads_zero", "threads_negative", "smoothness_negative",
         "name_with_comma", "sigma_inf", "alpha", "beta", "gamma", "sigma_percent",
         "lambda_percent", "eta_with_var", "tau_with_expectation", "m_with_budgets",
@@ -114,6 +120,15 @@ def test_bad_input_exits_1_naming_the_key(body, env, key, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "rates", "gen"])
+def test_config_that_is_not_utf8_text_exits_1_naming_the_file(command, tmp_path, capsys):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes((BASE + "# caf\xe9\n[estimator krr]\n").encode("latin-1"))
+    assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse config {cfg}: ") and "utf-8" in err
 
 
 @pytest.mark.parametrize("body, key", [
@@ -211,6 +226,21 @@ class TestSlopeCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")
         assert main(["slope", str(bad)]) == 2
+
+    @pytest.mark.parametrize("row, message", [
+        (b"krr,20,1,2,0.1\n", "line 3: 5 fields, the header names 7"),
+        (b"krr,x,1,2,0.1,0.01,0\n", "line 3: field n: invalid literal for int()"),
+        (b"krr,20,1,2,0.1,0.01,0,9\n", "line 3: 8 fields, the header names 7"),
+        (b"krr,20,1,2,0.1,\xff,0\n", "line 3: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["too_few_fields", "bad_int", "too_many_fields", "undecodable_byte"])
+    def test_malformed_row_exits_2_naming_file_line_and_field(self, tmp_path, capsys, row,
+                                                              message):
+        lines = (DATA / "golden_results.csv").read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(lines[0] + lines[1] + row + b"".join(lines[2:]))
+        assert main(["slope", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"failed: {bad}, {message}"), err
 
 
 class TestRatesCommand:

@@ -491,8 +491,8 @@ class TestKernelExpansionPredict:
 
     @pytest.mark.parametrize("threads", [1, 3, 8])
     def test_pool_size_keeps_the_bits(self, kernel_pool, threads):
-        # The chunk is sized by the pool's threads (2,096 to 10,000 rows at 1,000
-        # centers); eval_f, true_theta and predict have the same bits at any size.
+        # The pool splits each chunk into kernel blocks, one per thread at a time;
+        # eval_f, true_theta and predict have the same bits at any pool size.
         f = make_test_function(KernelSpec.laplace(3), n_centers=1000, seed=90)
         est = KRREstimator(f.kernel, f.centers, f.coefficients, 0.0, None)
         x = simulate_outer(10_050, 3, seed=91)

@@ -184,7 +184,7 @@ class TestSimulateInner:
         f = make_test_function(KernelSpec.laplace(2), n_centers=5, seed=24)
         x = simulate_outer(n, 2, seed=25)
         whole = simulate_inner(f, x, m, 0.7, seed=26).ybar
-        monkeypatch.setattr(synthetic, "_chunk_entries", lambda: budget)
+        monkeypatch.setattr(synthetic, "_CHUNK_ENTRIES", budget)
         assert -(-n * m // budget) > 2  # several noise blocks
         assert np.array_equal(simulate_inner(f, x, m, 0.7, seed=26).ybar, whole)
 
@@ -206,9 +206,11 @@ class TestTrueTheta:
         pts = np.random.default_rng(30).random((eval_points, 4))
         assert oracle.value == np.mean(f(pts) ** 2)
 
-    def test_holds_four_kernel_blocks_per_pool_thread(self, kernel_pool):
-        # At 1,000 centers two threads get a chunk of 4,192 rows (33.5 MB), not 10,000 (80 MB).
-        kernel_pool(2)
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_holds_one_chunk_at_any_pool_size(self, kernel_pool, threads):
+        # At 1,000 centers a chunk is 4,192 rows (33.5 MB), not 10,000 (80 MB),
+        # and the kernel pool's size does not change it.
+        kernel_pool(threads)
         f = make_test_function(KernelSpec.laplace(3), n_centers=1000, seed=31)
         func = FunctionalSpec.expectation("square")
         true_theta(f, func, eval_points=1_000, seed=32)  # warm-up: the block pool's first use
@@ -218,7 +220,7 @@ class TestTrueTheta:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = 4 * 2 * kernels._BLOCK_ENTRIES * 8
+        chunk = synthetic._CHUNK_ENTRIES * 8
         assert peak < chunk + 100_000 * 3 * 8 + 100_000 * 8 + 2**20, peak
 
     def test_median_of_uniform(self):
