@@ -21,6 +21,7 @@ reading a file back reproduces its numbers bit for bit:
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 
@@ -82,10 +83,23 @@ class _Header(dict):
         return None if self[key] == "-" else cast(self[key])
 
 
+def _read_text(path) -> str:
+    """The file at ``path`` decoded as UTF-8; a byte that is not UTF-8 text raises
+    ``ValueError`` naming the file and the 1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # a UnicodeDecodeError is a ValueError
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: {exc}") from None
+
+
 def read_table(path, kind: str) -> tuple[_Header, np.ndarray]:
-    """Header fields (as text) and the numeric rows of a columnar file; a body
-    that breaks the row rule in the module docstring raises ``ValueError``."""
-    with open(path) as fh:
+    """Header fields (as text) and the numeric rows of a columnar file; a file that
+    is not UTF-8 text or a body that breaks the row rule in the module docstring
+    raises ``ValueError`` naming the file."""
+    with io.StringIO(_read_text(path), newline=None) as fh:  # universal newlines, as open()
         first = fh.readline().rstrip("\n")
         if first != f"# sievesim {kind} v1":
             raise ValueError(f"{path}: not a sievesim {kind} v1 file: {first!r}")
@@ -122,12 +136,10 @@ def read_csv(path, cls) -> list:
     """Rows written by :func:`csv_text`, parsed back into ``cls`` instances; a line that
     is not UTF-8 text or not such a row raises ``ValueError`` naming the file and line."""
     fields = dataclasses.fields(cls)
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
     rows = []
-    for number, raw in enumerate(lines, 1):
-        try:  # a UnicodeDecodeError is a ValueError
-            line = raw.decode("utf-8").strip()
+    for number, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        try:
             if number == 1 and line != ",".join(f.name for f in fields):
                 raise ValueError(f"unexpected CSV header: {line!r}")
             if number > 1 and line:

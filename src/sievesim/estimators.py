@@ -15,6 +15,9 @@ scenarios, bit-identical to ``predict(data.scenarios)`` and computed as part
 of the fit; an estimator read back by :func:`load_estimator` has ``None``.  The
 kernel fits and a kernel expansion's ``predict`` hold BLAS at one thread
 (``kernels._one_blas_thread``); a ReLU fit's bits do not depend on BLAS's thread count.
+Both kernel fits factor their system in place by ``kernels._cholesky``, on
+every core of the kernel pool above ``kernels._FACTOR_TILE`` rows, with the same
+bits at any pool size.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
 
+from . import kernels
 from .kernels import DEFAULT_JITTER, KernelSpec, _one_blas_thread, as_points, kernel_matrix
 from .network import ReluNetwork
 from .synthetic import NestedDataset, _evaluate
@@ -149,15 +153,16 @@ _KERNEL_KINDS = {cls.kind: cls for cls in (KRREstimator, InducingKRREstimator)}
 
 def _solve_expansion(cls, data: NestedDataset, spec: KernelSpec, points, fitted_values, system, rhs,
                      regularization: float, detail: dict, diagnose):
-    """Factor the SPD ``system`` in place and solve it for the weights.
+    """Factor the SPD, Fortran-ordered ``system`` in place (``kernels._cholesky``)
+    and solve it for the weights.
 
     ``fitted_values(weights)`` gives the fitted values at the scenarios.  A failed
     factorization raises :class:`FitError` with ``diagnose(exc)`` as its
     message.
     """
     try:
-        cho = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
-        weights = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+        factor = kernels._cholesky(system)
+        weights = scipy.linalg.cho_solve((factor, True), rhs, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise FitError(diagnose(exc)) from exc
     fitted = fitted_values(weights)
@@ -184,9 +189,10 @@ def default_regularization(spec: KernelSpec, n: int) -> float:
 def _krr_system(k: np.ndarray, jitter: float, shift: float) -> np.ndarray:
     """``K + jitter I + shift I`` written into ``K`` and returned as ``K.T``.
     ``K = kernel_matrix(X, X)`` equals its transpose bit for bit, so ``K.T`` is
-    ``K`` in Fortran order, which LAPACK factors without a copy; the two diagonal
-    adds keep that order.  A lower Cholesky of it overwrites only ``K``'s
-    diagonal and upper triangle, and :func:`_restore_gram` undoes that."""
+    ``K`` in Fortran order, which ``kernels._cholesky`` factors without a copy;
+    the two diagonal adds keep that order.  A lower Cholesky of it overwrites
+    only ``K``'s diagonal and upper triangle, and :func:`_restore_gram` undoes
+    that."""
     system = k.T
     diag = np.diag_indices_from(system)
     system[diag] += jitter
@@ -198,19 +204,28 @@ def _krr_system(k: np.ndarray, jitter: float, shift: float) -> np.ndarray:
 _MIRROR_TILE = 256
 
 
-def _restore_gram(k: np.ndarray, diagonal: np.ndarray) -> None:
-    """Make ``K`` whole again from its strict lower triangle and ``diagonal``.
-    It mirrors in square tiles of at most ``_MIRROR_TILE`` rows, so each
-    transposed copy is small and reads few rows of ``K`` at a time."""
+def _mirror_band(k: np.ndarray, start: int) -> None:
+    """Copy the strict lower triangle of ``K``'s columns ``start:stop`` onto the
+    upper triangle of its rows ``start:stop``, in square tiles of at most
+    ``_MIRROR_TILE`` rows, so each transposed copy is small and reads few rows of
+    ``K`` at a time.  It reads only the strict lower triangle, which no band writes."""
     n = k.shape[0]
-    for start in range(0, n, _MIRROR_TILE):
-        stop = min(start + _MIRROR_TILE, n)
-        square = k[start:stop, start:stop]
-        upper = np.triu_indices(stop - start, 1)
-        square[upper] = square.T[upper]
-        for col in range(stop, n, _MIRROR_TILE):
-            end = min(col + _MIRROR_TILE, n)
-            k[start:stop, col:end] = k[col:end, start:stop].T
+    stop = min(start + _MIRROR_TILE, n)
+    square = k[start:stop, start:stop]
+    upper = np.triu_indices(stop - start, 1)
+    square[upper] = square.T[upper]
+    for col in range(stop, n, _MIRROR_TILE):
+        end = min(col + _MIRROR_TILE, n)
+        k[start:stop, col:end] = k[col:end, start:stop].T
+
+
+def _restore_gram(k: np.ndarray, diagonal: np.ndarray) -> None:
+    """Make ``K`` whole again from its strict lower triangle and ``diagonal``, one
+    task per band of ``_MIRROR_TILE`` rows on the kernel pool; it only copies
+    values, so the pool's size moves no bit."""
+    n = k.shape[0]
+    kernels._run_all(kernels._pool, _mirror_band,
+                     [(k, start) for start in range(0, n, _MIRROR_TILE)])
     k[np.diag_indices(n)] = diagonal
 
 
@@ -313,6 +328,8 @@ def fit_krr_inducing(
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     if ridge:
         system[np.diag_indices_from(system)] += ridge
+    # numpy builds design.T @ design by SYRK and mirrors it, so system equals its
+    # transpose bit for bit, and system.T is the Fortran-ordered system _cholesky takes.
 
     def diagnose(exc):
         # The system is factored in place, so the rank is read from a fresh K_sn K_ns.
@@ -321,7 +338,7 @@ def fit_krr_inducing(
                 f"rank {rank} of {s_count}")
 
     return _solve_expansion(InducingKRREstimator, data, spec, ind, lambda weights: design @ weights,
-                            system, rhs, ridge, {"inducing_count": s_count, "ridge": ridge},
+                            system.T, rhs, ridge, {"inducing_count": s_count, "ridge": ridge},
                             diagnose)
 
 

@@ -14,9 +14,15 @@ A kernel matrix is filled in row blocks of about ``_BLOCK_ENTRIES`` entries.
 A matrix of more than one block spreads them over one per-process pool of
 threads, one per usable CPU, with the same bits at any pool size.  The pool is
 built at import, starts its threads on first use, and is rebuilt in a forked
-child.  Its blocks and the harness's sweep jobs run through ``_run_all``: each
+child.  Its tasks and the harness's sweep jobs run through ``_run_all``: each
 task runs under the caller's numpy error state, and the first error cancels
 the queued tasks and is raised after the running ones end.
+
+``_cholesky`` factors a kernel fit's SPD system in place.  A system of more
+than ``_FACTOR_TILE`` rows is factored in tiles of that side, its solves and
+trailing updates as tasks on the same pool, through the scipy wheel's OpenBLAS
+bound by ``ctypes`` (which releases the GIL).  The bits depend only on the
+system and its size, never on the pool size or the CPU count.
 
 ``_one_blas_thread`` holds every OpenBLAS bundled with numpy and scipy, found at
 import, at one thread while it is entered, so BLAS's bits do not depend on its
@@ -38,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.linalg
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -146,10 +153,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _openblas_libraries() -> list[tuple]:
-    """``(get_num_threads, set_num_threads)`` of each OpenBLAS in the numpy and
-    scipy wheels' ``<package>.libs`` directories; empty where none is found.
-    numpy's build has 64-bit integers and suffixes its symbols with ``64_``."""
+def _bundled_openblas() -> list[tuple]:
+    """``(library, suffix)`` for each OpenBLAS in the numpy and scipy wheels'
+    ``<package>.libs`` directories; empty where none is found.  numpy's build has
+    64-bit integers and suffixes its symbols with ``64_``."""
     found = []
     for package in (np, scipy):
         libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
@@ -159,14 +166,50 @@ def _openblas_libraries() -> list[tuple]:
             except OSError:
                 continue
             for suffix in ("64_", ""):
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    found.append((get, set_))
+                if (hasattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                        and hasattr(lib, f"scipy_openblas_set_num_threads{suffix}")):
+                    found.append((lib, suffix))
                     break
     return found
+
+
+_BUNDLED_OPENBLAS = _bundled_openblas()
+
+
+def _openblas_libraries() -> list[tuple]:
+    """``(get_num_threads, set_num_threads)`` of each bundled OpenBLAS."""
+    found = []
+    for lib, suffix in _BUNDLED_OPENBLAS:
+        get = lib[f"scipy_openblas_get_num_threads{suffix}"]
+        set_ = lib[f"scipy_openblas_set_num_threads{suffix}"]
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return found
+
+
+def _factor_routines() -> dict | None:
+    """scipy's OpenBLAS ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm`` (32-bit
+    integers, Fortran calling convention), or None where none is found."""
+    char, int_, real, array = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
+                               ctypes.POINTER(ctypes.c_double), ctypes.c_void_p)
+    argtypes = {
+        "dpotrf": [char, int_, array, int_, int_],
+        "dtrsm": [char, char, char, char, int_, int_, real, array, int_, array, int_],
+        "dsyrk": [char, char, int_, int_, real, array, int_, real, array, int_],
+        "dgemm": [char, char, int_, int_, int_, real, array, int_, array, int_, real, array, int_],
+    }
+    for lib, suffix in _BUNDLED_OPENBLAS:
+        if suffix:  # numpy's build, with 64-bit integers
+            continue
+        try:
+            routines = {name: lib[f"scipy_{name}_"] for name in argtypes}
+        except AttributeError:
+            continue
+        for name, routine in routines.items():
+            routine.argtypes, routine.restype = argtypes[name], None
+        return routines
+    return None
 
 
 class _BlasPin(contextlib.ContextDecorator):
@@ -199,6 +242,7 @@ class _BlasPin(contextlib.ContextDecorator):
 
 
 _one_blas_thread = _BlasPin(_openblas_libraries())
+_FACTOR = _factor_routines()
 
 
 def _new_pool() -> None:
@@ -231,8 +275,76 @@ def _run_all(pool: ThreadPoolExecutor, fn, tasks) -> list:
         wait(futures)
 
 
+# Side of a factor tile.  Each tile's sequence of operations depends only on n
+# and this side, never on the pool, so neither do the factor's bits.
+_FACTOR_TILE = 512
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _at(a: np.ndarray, row: int, col: int) -> int:
+    """The address of ``a[row, col]`` in the Fortran-ordered ``a``."""
+    return a.ctypes.data + (row + col * a.shape[0]) * a.itemsize
+
+
+def _factor_step(a: np.ndarray, i: int, j: int, k: int) -> None:
+    """One pooled step of :func:`_cholesky` on the tile of ``a`` at rows ``i``, columns
+    ``j`` (tile offsets), after the diagonal tile at ``k`` is factored: with ``j == k``,
+    solve it against that tile's factor; otherwise subtract from it the product of the
+    solved tiles in rows ``i`` and ``j`` of column ``k``."""
+    n = a.shape[0]
+    lda = _int(n)
+    rows, cols, inner = (_int(min(n - at, _FACTOR_TILE)) for at in (i, j, k))
+    one, minus_one = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0))
+    if j == k:
+        _FACTOR["dtrsm"](b"R", b"L", b"T", b"N", rows, inner, one, _at(a, k, k), lda,
+                         _at(a, i, k), lda)
+    elif i == j:
+        _FACTOR["dsyrk"](b"L", b"N", rows, inner, minus_one, _at(a, i, k), lda, one,
+                         _at(a, i, i), lda)
+    else:
+        _FACTOR["dgemm"](b"N", b"T", rows, cols, inner, minus_one, _at(a, i, k), lda,
+                         _at(a, j, k), lda, one, _at(a, i, j), lda)
+
+
+@_one_blas_thread
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the symmetric positive-definite, Fortran-ordered
+    float64 ``a``, written over ``a``'s lower triangle and returned; the strict upper
+    triangle is never written.  A failure raises ``scipy.linalg.LinAlgError``.
+
+    A matrix of at most ``_FACTOR_TILE`` rows, or one on a host without the bundled
+    OpenBLAS, is factored by ``scipy.linalg.cho_factor``.  A larger one is factored
+    right-looking in tiles of that side: LAPACK factors each diagonal tile on the
+    caller, then the pool solves each tile below it, then updates each lower tile of
+    the trailing matrix (the rule of :func:`_run_all`).
+    """
+    n = a.shape[0]
+    if n <= _FACTOR_TILE or _FACTOR is None:
+        return scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
+    if (a.shape != (n, n) or a.dtype != np.float64 or not a.flags.f_contiguous
+            or not a.flags.writeable):
+        raise ValueError(f"expected a writeable Fortran-ordered float64 square array, "
+                         f"got shape {a.shape} and dtype {a.dtype}")
+    starts = range(0, n, _FACTOR_TILE)
+    for k in starts:
+        info = ctypes.c_int()
+        _FACTOR["dpotrf"](b"L", _int(min(n - k, _FACTOR_TILE)), _at(a, k, k), _int(n),
+                          ctypes.byref(info))
+        if info.value:
+            raise scipy.linalg.LinAlgError(
+                f"{k + info.value}-th leading minor of the array is not positive definite"
+                if info.value > 0 else f"dpotrf: argument {-info.value} had an illegal value")
+        below = starts[k // _FACTOR_TILE + 1 :]
+        _run_all(_pool, _factor_step, [(a, i, k, k) for i in below])
+        _run_all(_pool, _factor_step, [(a, i, j, k) for j in below for i in below if i >= j])
+    return a
+
+
 def _fill_rows(spec: KernelSpec, pa: np.ndarray, pb: np.ndarray, out: np.ndarray) -> None:
-    """Write ``k(pa_i, pb_j)`` into ``out`` in place; pool threads call only this."""
+    """Write ``k(pa_i, pb_j)`` into ``out`` in place; one task of a pooled kernel matrix."""
     cdist(pa, pb, "sqeuclidean" if spec.family == "gaussian" else "euclidean", out=out)
     # x / -s rounds to exactly -(x / s), and negation is exact, so each entry has
     # the bits of the closed form written with a positive r / s.

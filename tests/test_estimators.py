@@ -158,20 +158,22 @@ class TestKRR:
             fit_krr(data, spec, 0.0, jitter=0.0)
 
 
+    @pytest.mark.parametrize("n", [500, 1001])
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
-    def test_in_place_solve_is_the_copy_based_solve(self, family):
-        # n = 1001 spans two mirror blocks, of 523 and 478 rows.
-        spec, _, data = make_data(n=1001, d=10, seed=86, family=family)
+    def test_in_place_solve_is_the_copy_based_solve(self, family, n):
+        # n = 1001 spans four mirror bands and two factor tiles; n = 500 fits in one
+        # tile, whose factor is one LAPACK call.
+        spec, _, data = make_data(n=n, d=10, seed=86, family=family)
         lam, jitter = 1e-3, 1e-10
         est = fit_krr(data, spec, lam, jitter=jitter)
         with kernels._one_blas_thread:  # as the fit holds it
             K = kernel_matrix(spec, data.scenarios, data.scenarios)
             system = K.copy(order="F")
-            system[np.diag_indices(1001)] += jitter
-            system[np.diag_indices(1001)] += 1001 * lam
-            weights = scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(system, lower=True, check_finite=False), data.ybar,
-                check_finite=False)
+            system[np.diag_indices(n)] += jitter
+            system[np.diag_indices(n)] += n * lam
+            factor = (scipy.linalg.cho_factor(system, lower=True, check_finite=False)[0]
+                      if n <= kernels._FACTOR_TILE else kernels._cholesky(system))
+            weights = scipy.linalg.cho_solve((factor, True), data.ybar, check_finite=False)
             fitted = K @ weights
         assert np.array_equal(est.weights, weights)
         assert np.array_equal(est.fitted_values, fitted)
@@ -228,6 +230,88 @@ class TestInducingKRR:
         dup = data.scenarios[[2, 2]]
         with pytest.raises(FitError, match="without ridge: rank 1 of 2$"):
             fit_krr_inducing(data, spec, dup, ridge=0.0)
+
+
+class TestTiledFactor:
+    """A system of more than ``kernels._FACTOR_TILE`` rows is factored in tiles on the
+    kernel pool."""
+
+    TILE = kernels._FACTOR_TILE
+
+    @pytest.mark.parametrize("n", [1001, 2 * TILE + 1])
+    def test_pool_size_keeps_the_bits(self, kernel_pool, n):
+        spec, _, data = make_data(n=n, d=10, seed=94, family="gaussian")
+
+        def fits():
+            krr = fit_krr(data, spec, 1e-3)
+            inducing = fit_krr_inducing(data, spec, data.scenarios[: self.TILE + 88])
+            return krr.weights, krr.fitted_values, inducing.weights, inducing.fitted_values
+
+        outputs = []
+        for threads in (1, 2, 8):
+            kernel_pool(threads)
+            outputs.append(fits())
+        for other in outputs[1:]:
+            for got, want in zip(other, outputs[0]):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_agrees_with_one_lapack_call_to_the_condition_number(self, family):
+        n = 2 * self.TILE + 1
+        spec, _, data = make_data(n=n, d=10, seed=95, family=family)
+        lam = 1e-3
+        est = fit_krr(data, spec, lam)
+        with kernels._one_blas_thread:
+            system = kernel_matrix(spec, data.scenarios, data.scenarios)
+            system[np.diag_indices(n)] += kernels.DEFAULT_JITTER
+            system[np.diag_indices(n)] += n * lam
+            eigs = scipy.linalg.eigvalsh(system)
+            weights = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(system, lower=True, check_finite=False), data.ybar,
+                check_finite=False)
+        # A backward-stable solve is accurate to about n * eps * cond, relative.
+        tolerance = n * np.finfo(float).eps * eigs[-1] / eigs[0] * np.max(np.abs(weights))
+        assert_allclose(est.weights, weights, rtol=0, atol=tolerance)
+
+    def test_failure_past_the_first_tile_leaves_the_gram_whole(self, monkeypatch):
+        # The first duplicate of an earlier scenario has a zero pivot, in the second tile.
+        spec = KernelSpec.gaussian(10)
+        x = simulate_outer(self.TILE + 88, 10, seed=96)
+        x = np.vstack([x, x[:300]])
+        from sievesim import estimators
+        from sievesim.synthetic import NestedDataset
+        data = NestedDataset(scenarios=x, ybar=np.arange(len(x), dtype=float), m=1,
+                             noise_sigma=0.0, seed=None)
+        grams = []
+
+        def keep(*args):
+            grams.append(kernel_matrix(*args))
+            return grams[-1]
+
+        monkeypatch.setattr(estimators, "kernel_matrix", keep)
+        with pytest.raises(FitError, match=r"-th leading minor .*; eigenvalue range \[") as info:
+            fit_krr(data, spec, 0.0, jitter=0.0)
+        assert int(re.search(r"(\d+)-th leading minor", str(info.value))[1]) > self.TILE
+        assert np.array_equal(grams[0], kernel_matrix(spec, x, x))
+
+    @pytest.mark.parametrize("count", [64, TILE + 88])
+    def test_inducing_system_is_exactly_symmetric(self, count):
+        spec, _, data = make_data(n=1001, d=10, seed=97, family="gaussian")
+        design = kernel_matrix(spec, data.scenarios, data.scenarios[:count])
+        with kernels._one_blas_thread:  # as fit_krr_inducing holds it
+            system = design.T @ design
+        assert np.array_equal(system, system.T)
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_restored_gram_is_the_kernel_matrix(self, kernel_pool, threads):
+        from sievesim.estimators import _krr_system, _restore_gram
+        kernel_pool(threads)
+        spec, _, data = make_data(n=1001, d=10, seed=98, family="laplace")
+        k = kernel_matrix(spec, data.scenarios, data.scenarios)
+        diagonal = k.diagonal().copy()
+        kernels._cholesky(_krr_system(k, 1e-10, 1.0))
+        _restore_gram(k, diagonal)
+        assert np.array_equal(k, kernel_matrix(spec, data.scenarios, data.scenarios))
 
 
 def test_direct_calls_give_the_same_bits_at_one_and_three_blas_threads():
@@ -630,6 +714,16 @@ class TestSerialization:
         path = tmp_path / "short.txt"
         path.write_text("".join(lines[:-1]))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{shape}"):
+            load_estimator(path)
+
+    @pytest.mark.parametrize("kind", ["sample_average", "krr", "inducing_krr", "relu"])
+    def test_byte_that_is_not_utf8_names_the_file_and_line(self, kind, tmp_path):
+        source = (V1_FILES / f"{kind}.txt").read_bytes()
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(source + b"0.5 \xff\n")
+        line = source.count(b"\n") + 1
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "
+                                             "'utf-8' codec can't decode byte 0xff"):
             load_estimator(path)
 
     def test_unknown_kind_names_the_file(self, tmp_path):

@@ -430,6 +430,19 @@ class TestRunExperiment:
             with pytest.raises(RuntimeError, match="failed at n=30"):
                 run_experiment(config)
             assert [get() for get, _ in libraries] == [3] * len(libraries)
+            # A system of more than one tile is factored by tasks on the kernel pool.
+            tiles, step = [], kernels._factor_step
+
+            def tile_spy(*args):
+                tiles.append([get() for get, _ in libraries])
+                return step(*args)
+
+            monkeypatch.setattr(estimators.scipy.linalg, "cho_factor", factor)
+            monkeypatch.setattr(kernels, "_factor_step", tile_spy)
+            large = TINY.replace("sizes = 30 60 120", f"sizes = {kernels._FACTOR_TILE + 1}")
+            run_experiment(parse_config(write_config(tmp_path, large)))
+            assert tiles and all(counts == [1] * len(libraries) for counts in tiles)
+            assert [get() for get, _ in libraries] == [3] * len(libraries)
         finally:
             for (_, set_threads), count in zip(libraries, saved):
                 set_threads(count)

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
@@ -431,3 +432,44 @@ def test_blas_pin_holds_until_the_last_holder_exits():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == [] and count == [4]
+
+
+class TestTiledCholesky:
+    TILE = kernels._FACTOR_TILE
+
+    @staticmethod
+    def spd(n, seed):
+        x = np.random.default_rng(seed).standard_normal((n, n + 10))
+        return np.asfortranarray(x @ x.T / n + np.eye(n))
+
+    @pytest.mark.parametrize("n", [TILE, TILE + 1, 2 * TILE + 1])
+    def test_factors_the_lower_triangle_only(self, n):
+        a = self.spd(n, 23)
+        work = a.copy(order="F")
+        factor = kernels._cholesky(work)
+        assert factor is work
+        assert_allclose(np.tril(factor), np.linalg.cholesky(a), rtol=0, atol=1e-12)
+        assert np.array_equal(np.triu(work, 1), np.triu(a, 1))
+
+    def test_without_the_bundled_openblas_one_lapack_call_factors_every_size(self,
+                                                                             monkeypatch):
+        monkeypatch.setattr(kernels, "_FACTOR", None)
+        a = self.spd(2 * self.TILE + 1, 25)
+        with kernels._one_blas_thread:  # as _cholesky holds it
+            want = scipy.linalg.cho_factor(a, lower=True, check_finite=False)[0]
+        assert np.array_equal(np.tril(kernels._cholesky(a)), np.tril(want))
+
+    def test_failure_names_the_minor_past_the_first_tile(self):
+        if kernels._FACTOR is None:
+            pytest.skip("no bundled OpenBLAS: one LAPACK call factors every size")
+        a = np.asfortranarray(np.eye(2 * self.TILE + 1))
+        a[self.TILE + 188, self.TILE + 188] = -1.0
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"^{self.TILE + 189}-th leading minor of the array is not"):
+            kernels._cholesky(a)
+
+    def test_takes_only_a_fortran_ordered_float64_square(self):
+        if kernels._FACTOR is None:
+            pytest.skip("no bundled OpenBLAS: one LAPACK call factors every size")
+        with pytest.raises(ValueError, match="Fortran-ordered float64 square"):
+            kernels._cholesky(np.ascontiguousarray(self.spd(self.TILE + 1, 24)))

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -323,6 +324,17 @@ class TestSerialization:
         path = tmp_path / "short.txt"
         path.write_text("".join(lines[:-1]))
         with pytest.raises(ValueError, match=shape):
+            load(path)
+
+    @pytest.mark.parametrize("name, load", [("test_function_matern", load_test_function),
+                                            ("dataset", load_dataset)])
+    def test_byte_that_is_not_utf8_names_the_file_and_line(self, name, load, tmp_path):
+        source = (V1_FILES / f"{name}.txt").read_bytes()
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(source + b"0.5 \xff\n")
+        line = source.count(b"\n") + 1
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "
+                                             "'utf-8' codec can't decode byte 0xff"):
             load(path)
 
     @pytest.mark.parametrize("first", ["# sievesim nested dataset v10",
