@@ -9,8 +9,9 @@ reading a file back reproduces its numbers bit for bit:
   header with a ``dim`` and a row count (``n`` or ``n_centers``) needs exactly
   that many rows of ``dim + 1`` columns to load, and a ``relu`` estimator
   needs one row of one column per parameter that its ``dim`` and ``hidden``
-  give; a header key that a reader needs and the file lacks raises
-  ``ValueError`` naming the file and the key;
+  give; every number in the body must be finite; a file that breaks these rules,
+  or lacks a header key that a reader needs, raises ``ValueError`` naming the
+  file (and the key, or a non-finite number's 1-based line);
 * result tables: comma-separated rows of a dataclass's fields under a header
   naming them, or a JSON document of them, with floats in shortest round-trip
   form and ``null`` for a non-finite one.
@@ -71,12 +72,8 @@ def write_table(path, kind: str, fields: dict, columns: str, table) -> None:
 class _Header(dict):
     """A columnar file's header fields; reading a key it lacks raises ``ValueError``."""
 
-    def __init__(self, path, tokens):
-        super().__init__(t.split("=", 1) for t in tokens if "=" in t)
-        self.path = path
-
     def __missing__(self, key):
-        raise ValueError(f"{self.path}: the header has no {key}= field")
+        raise ValueError(f"the header has no {key}= field")
 
     def optional(self, key: str, cast):
         """Field ``key`` through ``cast``, or None where it was written as ``-``."""
@@ -95,26 +92,38 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}, line {line}: {exc}") from None
 
 
-def read_table(path, kind: str) -> tuple[_Header, np.ndarray]:
-    """Header fields (as text) and the numeric rows of a columnar file; a file that
-    is not UTF-8 text or a body that breaks the row rule in the module docstring
-    raises ``ValueError`` naming the file."""
-    with io.StringIO(_read_text(path), newline=None) as fh:  # universal newlines, as open()
-        first = fh.readline().rstrip("\n")
-        if first != f"# sievesim {kind} v1":
-            raise ValueError(f"{path}: not a sievesim {kind} v1 file: {first!r}")
-        fields = _Header(path, fh.readline().lstrip("#").split())
-        fh.readline()  # column comment
-        # Only rows with data reach loadtxt, which warns on an empty body.
-        lines = [line for line in fh if line.split("#", 1)[0].strip()]
-    data = np.loadtxt(lines, ndmin=2) if lines else np.empty((0, 0))
-    rows = fields.get("n", fields.get("n_centers"))
-    if rows is not None and "dim" in fields:
-        shape = (int(rows), int(fields["dim"]) + 1)
-        if data.shape != shape:
-            raise ValueError(f"{path}: the header gives {shape[0]} rows of {shape[1]} columns, "
-                             f"the body has {data.shape[0]} rows of {data.shape[1]}")
-    return fields, data
+def read_table(path, kind: str, build):
+    """``build(fields, rows)`` of the columnar file at ``path``: its header fields (as
+    text) and its numeric rows.  A file that is not UTF-8 text, a body that breaks the
+    row rule in the module docstring or holds a number that is not finite (named by its
+    1-based line), and a ``ValueError`` from ``build`` raise ``ValueError`` naming the
+    file."""
+    text = _read_text(path)
+    try:
+        with io.StringIO(text, newline=None) as fh:  # universal newlines, as open()
+            first = fh.readline().rstrip("\n")
+            if first != f"# sievesim {kind} v1":
+                raise ValueError(f"not a sievesim {kind} v1 file: {first!r}")
+            tokens = fh.readline().lstrip("#").split()
+            fields = _Header(t.split("=", 1) for t in tokens if "=" in t)
+            fh.readline()  # column comment
+            body = [(number, line) for number, line in enumerate(fh, 4)
+                    if line.split("#", 1)[0].strip()]
+        if not body:  # no file kind loads one, and loadtxt warns on it
+            raise ValueError("the body has 0 rows")
+        data = np.loadtxt([line for _, line in body], ndmin=2)
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"line {body[np.argmin(finite)][0]}: a number that is not finite")
+        rows = fields.get("n", fields.get("n_centers"))
+        if rows is not None and "dim" in fields:
+            shape = (int(rows), int(fields["dim"]) + 1)
+            if data.shape != shape:
+                raise ValueError(f"the header gives {shape[0]} rows of {shape[1]} columns, "
+                                 f"the body has {data.shape[0]} rows of {data.shape[1]}")
+        return build(fields, data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def csv_text(cls, rows) -> str:

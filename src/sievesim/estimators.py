@@ -15,9 +15,9 @@ scenarios, bit-identical to ``predict(data.scenarios)`` and computed as part
 of the fit; an estimator read back by :func:`load_estimator` has ``None``.  The
 kernel fits and a kernel expansion's ``predict`` hold BLAS at one thread
 (``kernels._one_blas_thread``); a ReLU fit's bits do not depend on BLAS's thread count.
-Both kernel fits factor their system in place by ``kernels._cholesky``, on
-every core of the kernel pool above ``kernels._FACTOR_TILE`` rows, with the same
-bits at any pool size.
+Both kernel fits factor their system in place by ``kernels._cholesky``, one
+path on every scipy build: one LAPACK call up to ``kernels._FACTOR_TILE`` rows,
+tiles on every core of the kernel pool above, with the same bits at any pool size.
 """
 
 from __future__ import annotations
@@ -605,7 +605,10 @@ def save_estimator(est, path) -> None:
 
 
 def load_estimator(path):
-    fields, data = read_table(path, "estimator")
+    return read_table(path, "estimator", _estimator_from)
+
+
+def _estimator_from(fields, data):
     kind = fields["kind"]
     points, values = data[:, :-1], data[:, -1]
     meta = TrainingMeta(n=0, m=0, residual_norm=float("nan"), detail={"loaded": True})
@@ -619,11 +622,13 @@ def load_estimator(path):
         widths = tuple(int(w) for w in fields["hidden"].split(","))
         arch = ReluArchitecture(hidden_widths=widths, sparsity=fields.optional("sparsity", int),
                                 max_param=float(fields["max_param"]))
-        net = ReluNetwork(arch.layer_dims(int(fields["dim"])), seed=0)
-        if data.shape != (net.num_params, 1):
-            raise ValueError(f"{path}: the header's dim={fields['dim']} and hidden="
-                             f"{fields['hidden']} give {net.num_params} parameters, one per "
-                             f"row; the body has {data.shape[0]} rows of {data.shape[1]} columns")
+        dim = int(fields["dim"])
+        count = arch.parameter_count(dim)  # before a huge header dim builds a huge network
+        if data.shape != (count, 1):
+            raise ValueError(f"the header's dim={dim} and hidden={fields['hidden']} give "
+                             f"{count} parameters, one per row; the body has "
+                             f"{data.shape[0]} rows of {data.shape[1]} columns")
+        net = ReluNetwork(arch.layer_dims(dim), seed=0)
         net.set_param_vector(data.ravel())
         return ReluSieveEstimator(network=net, architecture=arch, meta=meta)
-    raise ValueError(f"{path}: unknown estimator kind {kind!r}")
+    raise ValueError(f"unknown estimator kind {kind!r}")

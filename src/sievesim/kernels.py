@@ -18,17 +18,21 @@ child.  Its tasks and the harness's sweep jobs run through ``_run_all``: each
 task runs under the caller's numpy error state, and the first error cancels
 the queued tasks and is raised after the running ones end.
 
-``_cholesky`` factors a kernel fit's SPD system in place.  A system of more
-than ``_FACTOR_TILE`` rows is factored in tiles of that side, its solves and
-trailing updates as tasks on the same pool, through the scipy wheel's OpenBLAS
-bound by ``ctypes`` (which releases the GIL).  The bits depend only on the
-system and its size, never on the pool size or the CPU count.
+``_cholesky`` factors a kernel fit's SPD system in place, in tiles of
+``_FACTOR_TILE`` rows: each diagonal tile on the caller, the solves and trailing
+updates as tasks on the same pool.  It calls the LAPACK and BLAS that scipy's own
+solvers call, on any scipy build, through the function pointers that
+``scipy.linalg.cython_lapack`` and ``cython_blas`` export, bound by ``ctypes``
+(which releases the GIL).  A system of at most one tile is one LAPACK call.  The
+bits depend only on the system and its size, never on the pool size or the CPU
+count.
 
 ``_one_blas_thread`` holds every OpenBLAS bundled with numpy and scipy, found at
 import, at one thread while it is entered, so BLAS's bits do not depend on its
 thread count and no idle BLAS thread spins on a core that these pools need; on
 the last exit it restores the counts found on the first entry.  It decorates
-each routine in the package whose bits depend on that count.
+each routine in the package whose bits depend on that count.  Where it finds no
+bundled OpenBLAS it holds nothing, and the factor's tile tasks call a threaded BLAS.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.linalg
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -153,10 +158,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _bundled_openblas() -> list[tuple]:
-    """``(library, suffix)`` for each OpenBLAS in the numpy and scipy wheels'
-    ``<package>.libs`` directories; empty where none is found.  numpy's build has
-    64-bit integers and suffixes its symbols with ``64_``."""
+def _openblas_libraries() -> list[tuple]:
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS in the numpy and scipy
+    wheels' ``<package>.libs`` directories; empty where none is found.  numpy's build
+    has 64-bit integers and suffixes its symbols with ``64_``."""
     found = []
     for package in (np, scipy):
         libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
@@ -166,50 +171,34 @@ def _bundled_openblas() -> list[tuple]:
             except OSError:
                 continue
             for suffix in ("64_", ""):
-                if (hasattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                        and hasattr(lib, f"scipy_openblas_set_num_threads{suffix}")):
-                    found.append((lib, suffix))
-                    break
+                try:
+                    get, set_ = (lib[f"scipy_openblas_{op}_num_threads{suffix}"]
+                                 for op in ("get", "set"))
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
     return found
 
 
-_BUNDLED_OPENBLAS = _bundled_openblas()
-
-
-def _openblas_libraries() -> list[tuple]:
-    """``(get_num_threads, set_num_threads)`` of each bundled OpenBLAS."""
-    found = []
-    for lib, suffix in _BUNDLED_OPENBLAS:
-        get = lib[f"scipy_openblas_get_num_threads{suffix}"]
-        set_ = lib[f"scipy_openblas_set_num_threads{suffix}"]
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        found.append((get, set_))
-    return found
-
-
-def _factor_routines() -> dict | None:
-    """scipy's OpenBLAS ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm`` (32-bit
-    integers, Fortran calling convention), or None where none is found."""
-    char, int_, real, array = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
-                               ctypes.POINTER(ctypes.c_double), ctypes.c_void_p)
-    argtypes = {
-        "dpotrf": [char, int_, array, int_, int_],
-        "dtrsm": [char, char, char, char, int_, int_, real, array, int_, array, int_],
-        "dsyrk": [char, char, int_, int_, real, array, int_, real, array, int_],
-        "dgemm": [char, char, int_, int_, int_, real, array, int_, array, int_, real, array, int_],
-    }
-    for lib, suffix in _BUNDLED_OPENBLAS:
-        if suffix:  # numpy's build, with 64-bit integers
-            continue
-        try:
-            routines = {name: lib[f"scipy_{name}_"] for name in argtypes}
-        except AttributeError:
-            continue
-        for name, routine in routines.items():
-            routine.argtypes, routine.restype = argtypes[name], None
-        return routines
-    return None
+def _factor_routines() -> dict:
+    """scipy's ``dpotrf``, ``dtrsm``, ``dsyrk`` and ``dgemm``: the C function pointers
+    that ``scipy.linalg.cython_lapack`` and ``cython_blas`` export, which scipy's own
+    solvers call, bound by ``ctypes`` (whose calls release the GIL).  In the Fortran
+    calling convention every argument is a pointer."""
+    api = ctypes.pythonapi
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    routines = {}
+    for module, name, arguments in ((cython_lapack, "dpotrf", 5), (cython_blas, "dtrsm", 11),
+                                    (cython_blas, "dsyrk", 10), (cython_blas, "dgemm", 13)):
+        capsule = module.__pyx_capi__[name]
+        prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arguments)
+        routines[name] = prototype(pointer_of(capsule, name_of(capsule)))
+    return routines
 
 
 class _BlasPin(contextlib.ContextDecorator):
@@ -315,15 +304,12 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     float64 ``a``, written over ``a``'s lower triangle and returned; the strict upper
     triangle is never written.  A failure raises ``scipy.linalg.LinAlgError``.
 
-    A matrix of at most ``_FACTOR_TILE`` rows, or one on a host without the bundled
-    OpenBLAS, is factored by ``scipy.linalg.cho_factor``.  A larger one is factored
-    right-looking in tiles of that side: LAPACK factors each diagonal tile on the
+    ``a`` is factored right-looking in tiles of ``_FACTOR_TILE`` rows, so one of at
+    most that many rows is one LAPACK call: LAPACK factors each diagonal tile on the
     caller, then the pool solves each tile below it, then updates each lower tile of
     the trailing matrix (the rule of :func:`_run_all`).
     """
     n = a.shape[0]
-    if n <= _FACTOR_TILE or _FACTOR is None:
-        return scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
     if (a.shape != (n, n) or a.dtype != np.float64 or not a.flags.f_contiguous
             or not a.flags.writeable):
         raise ValueError(f"expected a writeable Fortran-ordered float64 square array, "

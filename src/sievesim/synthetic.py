@@ -236,14 +236,13 @@ def save_test_function(f: TestFunction, path) -> None:
 
 
 def load_test_function(path) -> TestFunction:
-    fields, data = read_table(path, "test function")
-    return TestFunction(
+    return read_table(path, "test function", lambda fields, data: TestFunction(
         kernel=kernel_from_fields(fields),
         centers=data[:, :-1],
         coefficients=data[:, -1],
         seed=fields.optional("seed", int),
         norm_sq=float(fields["norm_sq"]),
-    )
+    ))
 
 
 def save_dataset(data: NestedDataset, path) -> None:
@@ -255,11 +254,10 @@ def save_dataset(data: NestedDataset, path) -> None:
 
 
 def load_dataset(path) -> NestedDataset:
-    fields, data = read_table(path, "nested dataset")
-    return NestedDataset(
+    return read_table(path, "nested dataset", lambda fields, data: NestedDataset(
         scenarios=data[:, :-1],
         ybar=data[:, -1],
         m=int(fields["m"]),
         noise_sigma=float(fields["sigma"]),
         seed=fields.optional("seed", int),
-    )
+    ))

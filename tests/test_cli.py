@@ -1,7 +1,11 @@
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sievesim import cli
@@ -11,6 +15,7 @@ from sievesim.synthetic import load_dataset, load_test_function
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CONFIG = str(DATA / "golden_config.ini")
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 
 
 class TestRunCommand:
@@ -290,6 +295,26 @@ alpha = 1.0
         assert main(["rates", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "-0.5" in out
+
+    # Replacement values: non-finite, out-of-range and malformed numbers, an empty
+    # value, and keyword values in the wrong key.
+    VALUES = ["nan", "inf", "-inf", "1e400", "1e-400", "%", "-0", "0", "-1", "0.5",
+              "99999999999", "0x10", "1_000", "١", "²", "", "-", "1 2", "laplace", "gaussian",
+              "matern", "var", "square", "cv", "random", "farthest", "train", "fresh",
+              "experiment", "true", "none"]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(config=st.sampled_from(SHIPPED_CONFIGS), data=st.data())
+    def test_a_shipped_config_with_one_value_replaced_exits_0_or_1(self, config, data):
+        text = config.read_text()
+        values = list(re.finditer(r"^[^#;\[\s][^=\n]*=[ \t]*(.*)$", text, re.MULTILINE))
+        value = data.draw(st.sampled_from(values))
+        new = data.draw(st.sampled_from(self.VALUES))
+        mutated = text[: value.start(1)] + new + text[value.end(1) :]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / config.name
+            path.write_text(mutated, encoding="utf-8")
+            assert main(["rates", str(path)]) in (0, 1)
 
 
 class TestGenCommand:

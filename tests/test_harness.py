@@ -409,7 +409,7 @@ class TestRunExperiment:
         if not libraries:
             pytest.skip("no bundled OpenBLAS to pin")
         config = parse_config(write_config(tmp_path, TINY))
-        seen, factor = [], estimators.scipy.linalg.cho_factor
+        seen, factor = [], kernels._cholesky
 
         def spy(*args, **kwargs):
             seen.append([get() for get, _ in libraries])
@@ -422,11 +422,11 @@ class TestRunExperiment:
         try:
             for _, set_threads in libraries:
                 set_threads(3)
-            monkeypatch.setattr(estimators.scipy.linalg, "cho_factor", spy)
+            monkeypatch.setattr(kernels, "_cholesky", spy)
             run_experiment(config)
             assert len(seen) == 6 and all(counts == [1] * len(libraries) for counts in seen)
             assert [get() for get, _ in libraries] == [3] * len(libraries)
-            monkeypatch.setattr(estimators.scipy.linalg, "cho_factor", abort)
+            monkeypatch.setattr(kernels, "_cholesky", abort)
             with pytest.raises(RuntimeError, match="failed at n=30"):
                 run_experiment(config)
             assert [get() for get, _ in libraries] == [3] * len(libraries)
@@ -437,7 +437,7 @@ class TestRunExperiment:
                 tiles.append([get() for get, _ in libraries])
                 return step(*args)
 
-            monkeypatch.setattr(estimators.scipy.linalg, "cho_factor", factor)
+            monkeypatch.setattr(kernels, "_cholesky", factor)
             monkeypatch.setattr(kernels, "_factor_step", tile_spy)
             large = TINY.replace("sizes = 30 60 120", f"sizes = {kernels._FACTOR_TILE + 1}")
             run_experiment(parse_config(write_config(tmp_path, large)))

@@ -451,25 +451,28 @@ class TestTiledCholesky:
         assert_allclose(np.tril(factor), np.linalg.cholesky(a), rtol=0, atol=1e-12)
         assert np.array_equal(np.triu(work, 1), np.triu(a, 1))
 
-    def test_without_the_bundled_openblas_one_lapack_call_factors_every_size(self,
-                                                                             monkeypatch):
-        monkeypatch.setattr(kernels, "_FACTOR", None)
-        a = self.spd(2 * self.TILE + 1, 25)
+    @pytest.mark.parametrize("n", [1, 2, 100, TILE])
+    def test_one_tile_is_one_lapack_call(self, n):
+        a = self.spd(n, 25)
         with kernels._one_blas_thread:  # as _cholesky holds it
             want = scipy.linalg.cho_factor(a, lower=True, check_finite=False)[0]
-        assert np.array_equal(np.tril(kernels._cholesky(a)), np.tril(want))
+        assert np.array_equal(kernels._cholesky(a), want)
+
+    def test_failure_names_the_minor_in_the_first_tile(self):
+        a = np.asfortranarray(np.eye(self.TILE))
+        a[188, 188] = -1.0
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^189-th leading minor of the array is not"):
+            kernels._cholesky(a)
 
     def test_failure_names_the_minor_past_the_first_tile(self):
-        if kernels._FACTOR is None:
-            pytest.skip("no bundled OpenBLAS: one LAPACK call factors every size")
         a = np.asfortranarray(np.eye(2 * self.TILE + 1))
         a[self.TILE + 188, self.TILE + 188] = -1.0
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"^{self.TILE + 189}-th leading minor of the array is not"):
             kernels._cholesky(a)
 
-    def test_takes_only_a_fortran_ordered_float64_square(self):
-        if kernels._FACTOR is None:
-            pytest.skip("no bundled OpenBLAS: one LAPACK call factors every size")
+    @pytest.mark.parametrize("n", [2, TILE, TILE + 1])
+    def test_takes_only_a_fortran_ordered_float64_square(self, n):
         with pytest.raises(ValueError, match="Fortran-ordered float64 square"):
-            kernels._cholesky(np.ascontiguousarray(self.spd(self.TILE + 1, 24)))
+            kernels._cholesky(np.ascontiguousarray(self.spd(n, 24)))
