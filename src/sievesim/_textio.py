@@ -9,9 +9,10 @@ reading a file back reproduces its numbers bit for bit:
   header with a ``dim`` and a row count (``n`` or ``n_centers``) needs exactly
   that many rows of ``dim + 1`` columns to load, and a ``relu`` estimator
   needs one row of one column per parameter that its ``dim`` and ``hidden``
-  give; every number in the body must be finite; a file that breaks these rules,
-  or lacks a header key that a reader needs, raises ``ValueError`` naming the
-  file (and the key, or a non-finite number's 1-based line);
+  give; every number in the header and the body must be finite, except a
+  ``relu`` header's ``max_param=inf`` (no weight bound); a file that breaks
+  these rules, or lacks a header key that a reader needs, raises ``ValueError``
+  naming the file (and the key, or a non-finite number's 1-based line);
 * result tables: comma-separated rows of a dataclass's fields under a header
   naming them, or a JSON document of them, with floats in shortest round-trip
   form and ``null`` for a non-finite one.
@@ -80,6 +81,17 @@ class _Header(dict):
         return None if self[key] == "-" else cast(self[key])
 
 
+def _check_finite(key: str, value: str) -> None:
+    """Refuse a header value that reads as a float but is not finite.  ``max_param=inf``
+    is the one exception: a ReLU sieve without a weight bound."""
+    try:
+        number = float(value)
+    except ValueError:
+        return
+    if not math.isfinite(number) and not (key == "max_param" and number == math.inf):
+        raise ValueError(f"the header's {key}={value} is not finite")
+
+
 def _read_text(path) -> str:
     """The file at ``path`` decoded as UTF-8; a byte that is not UTF-8 text raises
     ``ValueError`` naming the file and the 1-based line."""
@@ -94,8 +106,8 @@ def _read_text(path) -> str:
 
 def read_table(path, kind: str, build):
     """``build(fields, rows)`` of the columnar file at ``path``: its header fields (as
-    text) and its numeric rows.  A file that is not UTF-8 text, a body that breaks the
-    row rule in the module docstring or holds a number that is not finite (named by its
+    text) and its numeric rows.  A file that is not UTF-8 text, a header or body that
+    breaks the rules in the module docstring (a non-finite body number is named by its
     1-based line), and a ``ValueError`` from ``build`` raise ``ValueError`` naming the
     file."""
     text = _read_text(path)
@@ -106,6 +118,8 @@ def read_table(path, kind: str, build):
                 raise ValueError(f"not a sievesim {kind} v1 file: {first!r}")
             tokens = fh.readline().lstrip("#").split()
             fields = _Header(t.split("=", 1) for t in tokens if "=" in t)
+            for key, value in fields.items():
+                _check_finite(key, value)
             fh.readline()  # column comment
             body = [(number, line) for number, line in enumerate(fh, 4)
                     if line.split("#", 1)[0].strip()]

@@ -14,9 +14,18 @@ A kernel matrix is filled in row blocks of about ``_BLOCK_ENTRIES`` entries.
 A matrix of more than one block spreads them over one per-process pool of
 threads, one per usable CPU, with the same bits at any pool size.  The pool is
 built at import, starts its threads on first use, and is rebuilt in a forked
-child.  Its tasks and the harness's sweep jobs run through ``_run_all``: each
-task runs under the caller's numpy error state, and the first error cancels
-the queued tasks and is raised after the running ones end.
+child.  Its tasks and the harness's sweep jobs run through ``_run_all``: a lone
+task runs on the caller; otherwise each runs under the caller's numpy error
+state, and the first error cancels the queued tasks and is raised after the
+running ones end.
+
+``kernel_matrix(spec, a, b, weights=w)`` is the product ``K(a, b) @ w``
+without ``K``: each task allocates a block of at most ``_BLOCK_ENTRIES``
+entries, a multiple of 4 rows (at least 4), fills it and writes its GEMV into
+its own slice of the vector, so a call holds one block per busy pool thread.
+It runs at one BLAS thread, whose GEMV gives each row the same bits in any
+split at a multiple of 4 rows, so the vector is the one-matrix product at one
+BLAS thread, bit for bit, at any pool size.
 
 ``_cholesky`` factors a kernel fit's SPD system in place, in tiles of
 ``_FACTOR_TILE`` rows: each diagonal tile on the caller, the solves and trailing
@@ -246,7 +255,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_all(pool: ThreadPoolExecutor, fn, tasks) -> list:
-    """``[fn(*task) for task in tasks]``, run on ``pool`` by the rule in the module docstring."""
+    """``[fn(*task) for task in tasks]``, run on ``pool`` by the rule in the module
+    docstring; a lone task runs on the caller."""
+    if len(tasks) == 1:
+        return [fn(*tasks[0])]
     errstate = np.geterr()  # numpy's error state is per thread
 
     def run(task):
@@ -329,41 +341,59 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fill_rows(spec: KernelSpec, pa: np.ndarray, pb: np.ndarray, out: np.ndarray) -> None:
-    """Write ``k(pa_i, pb_j)`` into ``out`` in place; one task of a pooled kernel matrix."""
-    cdist(pa, pb, "sqeuclidean" if spec.family == "gaussian" else "euclidean", out=out)
+def _fill_rows(spec: KernelSpec, pa: np.ndarray, pb: np.ndarray, out: np.ndarray,
+               weights: np.ndarray | None = None, entries: int = 0) -> None:
+    """Write ``k(pa_i, pb_j)`` into ``out`` in place or, given ``weights``, into a block
+    of its own, allocated with at least ``entries`` entries, and then
+    ``block @ weights`` into ``out``; one task of a pooled kernel matrix or product."""
+    # Each block of a product takes the allocation of a full one, so malloc reuses the
+    # same memory block after block; blocks of varying sizes fragment its heap, whose
+    # resident size then grows call after call.
+    n = pa.shape[0] * pb.shape[0]
+    block = (out if weights is None
+             else np.empty(max(n, entries))[:n].reshape(pa.shape[0], pb.shape[0]))
+    cdist(pa, pb, "sqeuclidean" if spec.family == "gaussian" else "euclidean", out=block)
     # x / -s rounds to exactly -(x / s), and negation is exact, so each entry has
     # the bits of the closed form written with a positive r / s.
-    np.divide(out, -(spec.lengthscale if spec.family == "matern" else spec.dim), out=out)
+    np.divide(block, -(spec.lengthscale if spec.family == "matern" else spec.dim), out=block)
     if spec.family != "matern" or spec.nu == 0.5:
-        np.exp(out, out=out)
-        return
-    out *= math.sqrt(3.0) if spec.nu == 1.5 else math.sqrt(5.0)  # -t, t = sqrt(2 nu) r
-    decay = np.exp(out)
-    poly = 1.0 - out if spec.nu == 1.5 else 1.0 - out + out * out / 3.0
-    np.multiply(poly, decay, out=out)
+        np.exp(block, out=block)
+    else:
+        block *= math.sqrt(3.0) if spec.nu == 1.5 else math.sqrt(5.0)  # -t, t = sqrt(2 nu) r
+        decay = np.exp(block)
+        poly = 1.0 - block if spec.nu == 1.5 else 1.0 - block + block * block / 3.0
+        np.multiply(poly, decay, out=block)
+    if weights is not None:
+        np.matmul(block, weights, out=out)
 
 
-def kernel_matrix(spec: KernelSpec, a, b, out: np.ndarray | None = None) -> np.ndarray:
-    """Cross-kernel matrix ``K[i, j] = k(a_i, b_j)`` without jitter.
+def _row_splits(count: int, rows: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of the pieces of ``count`` rows cut every ``rows`` rows.  A last
+    piece of one row joins the one before: numpy multiplies a lone row as a dot product,
+    whose bits are not the GEMV's."""
+    starts = [*range(0, max(count - 1, 1), rows), count]
+    return list(zip(starts, starts[1:]))
 
-    ``out``, if given, is a C-contiguous float64 array of shape
-    ``(len(a), len(b))`` that receives the matrix and is returned.
-    """
+
+@_one_blas_thread
+def kernel_matrix(spec: KernelSpec, a, b, weights=None) -> np.ndarray:
+    """Cross-kernel matrix ``K[i, j] = k(a_i, b_j)`` without jitter or, given
+    ``weights`` (one per row of ``b``), the vector ``K @ weights`` by the rule in the
+    module docstring."""
     pa, pb = as_points(a), as_points(b)
     _check_dim(spec, pa, "first point set")
     _check_dim(spec, pb, "second point set")
-    shape = (pa.shape[0], pb.shape[0])
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    rows = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
-    if shape[0] <= rows:
-        _fill_rows(spec, pa, pb, out)
+    rows = _BLOCK_ENTRIES // max(1, pb.shape[0])
+    if weights is None:
+        out, rows, extra = np.empty((pa.shape[0], pb.shape[0])), max(1, rows), ()
     else:
-        _run_all(_pool, _fill_rows, [(spec, pa[i : i + rows], pb, out[i : i + rows])
-                                     for i in range(0, shape[0], rows)])
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (pb.shape[0],):
+            raise ValueError(f"weights must have shape ({pb.shape[0]},), got {w.shape}")
+        rows = max(4, rows // 4 * 4)
+        out, extra = np.empty(pa.shape[0]), (w, min(rows, pa.shape[0]) * pb.shape[0])
+    _run_all(_pool, _fill_rows, [(spec, pa[i:j], pb, out[i:j], *extra)
+                                 for i, j in _row_splits(pa.shape[0], rows)])
     return out
 
 

@@ -5,10 +5,12 @@ The test function is a seeded kernel mixture
     f(x) = (1/N) * sum_i c_i k(x, U_i),
 
 with ``c_i`` standard normal and ``U_i`` uniform on the unit cube, frozen at
-construction.  It is the only form of surface: one path evaluates it, and
-one simulates noisy observations of it.  Its squared RKHS norm has a closed
-form (:func:`~sievesim.kernels.rkhs_norm_sq`); it is computed when the
-surface is saved, not when it is built.
+construction.  It is the only form of surface: one path evaluates it, in
+chunks of points that are each one kernel product
+(``kernel_matrix(..., weights=)``), and one simulates noisy observations of
+it.  Its squared RKHS norm has a closed form
+(:func:`~sievesim.kernels.rkhs_norm_sq`); it is computed when the surface is
+saved, not when it is built.
 
 Simulation is two-level: outer scenarios are uniform on ``[0,1]^d``; each
 scenario gets ``m`` noisy inner samples ``f(x_i) + eps`` whose average is
@@ -23,7 +25,7 @@ import numpy as np
 
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 from .functionals import FunctionalSpec, evaluate_functional
-from .kernels import KernelSpec, _one_blas_thread, as_points, kernel_matrix, rkhs_norm_sq
+from .kernels import KernelSpec, _row_splits, as_points, kernel_matrix, rkhs_norm_sq
 
 __all__ = [
     "NestedDataset", "TestFunction", "ThetaOracle", "load_dataset", "load_test_function",
@@ -31,9 +33,10 @@ __all__ = [
     "true_theta",
 ]
 
-_EVAL_CHUNK = 10_000  # rows; the most that one evaluation chunk holds
-# Entries of one evaluation chunk or noise block: 32 MiB of float64, eight kernel
-# blocks, whatever the CPU count, so a call holds at most one such buffer.
+# Rows of points that one evaluation reads at a time, whatever the CPU count: a
+# multiple of 4, which keeps the kernel product's bits (see ``_evaluate``).
+_POINT_CHUNK = 2**16
+# Entries of one block of inner noise: 32 MiB of float64.
 _CHUNK_ENTRIES = 2**22
 
 
@@ -135,24 +138,20 @@ def eval_f(f: TestFunction, x) -> np.ndarray:
                      lambda start, stop: pts[start:stop], 1.0 / f.coefficients.size)
 
 
-@_one_blas_thread
 def _evaluate(kernel: KernelSpec, points, weights, count: int, rows, scale=1.0) -> np.ndarray:
     """``scale * sum_j weights_j k(x, points_j)`` at ``count`` points read chunk by chunk as
     ``rows(start, stop)``: the surface's loop, and every fitted kernel expansion's.
 
-    Each call has its own kernel buffer of at most ``_CHUNK_ENTRIES`` entries
-    (or 4 rows), so concurrent calls share none, and the buffer does not grow
-    with the kernel pool's size.  A chunk is a multiple of 4 rows, at most
-    ``_EVAL_CHUNK``, with one GEMV each: at one BLAS thread, OpenBLAS's GEMV
-    gives every row the bits of one product over all ``count`` points.
+    Each chunk of ``_POINT_CHUNK`` rows is one kernel product,
+    ``kernel_matrix(..., weights=)``, whose pool tasks each fill and multiply a
+    kernel block of their own; so a call holds its output, one point chunk and
+    one block per busy pool thread.  The chunks, like the blocks, split the
+    points at multiples of 4 rows, so every row has the bits of one product over
+    all ``count`` points at one BLAS thread.
     """
-    chunk = min(_EVAL_CHUNK, max(4, _CHUNK_ENTRIES // max(1, weights.size) // 4 * 4))
     out = np.empty(count)
-    buffer = np.empty((min(count, chunk), weights.size))
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        block = kernel_matrix(kernel, rows(start, stop), points, out=buffer[: stop - start])
-        out[start:stop] = block @ weights
+    for start, stop in _row_splits(count, _POINT_CHUNK):
+        out[start:stop] = kernel_matrix(kernel, rows(start, stop), points, weights=weights)
     out *= scale
     return out
 
@@ -178,17 +177,12 @@ def simulate_inner(f: TestFunction, scenarios, m: int, sigma: float, seed=0) -> 
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
-    values = eval_f(f, pts)
-    n = pts.shape[0]
-    ybar = np.empty(n)
-    rows = max(1, _CHUNK_ENTRIES // m)  # row-major draws: the split keeps their bits
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        noise = rng.standard_normal((stop - start, m))
-        ybar[start:stop] = values[start:stop] + sigma * noise.mean(axis=1)
+    # Row-major draws and per-row means: any split keeps their bits.
+    noise = [rng.standard_normal((stop - start, m)).mean(axis=1)
+             for start, stop in _row_splits(pts.shape[0], max(1, _CHUNK_ENTRIES // m))]
     return NestedDataset(
         scenarios=pts,
-        ybar=ybar,
+        ybar=eval_f(f, pts) + sigma * np.concatenate(noise),
         m=m,
         noise_sigma=float(sigma),
         seed=seed if isinstance(seed, int) else None,

@@ -599,7 +599,10 @@ class TestKernelExpansionPredict:
         assert np.array_equal(got, np.concatenate(chunks))
         assert_allclose(got, kernel_matrix(est.kernel, x, est.points) @ est.weights, rtol=1e-14)
 
-    def test_holds_at_most_one_chunk_of_kernel_rows(self):
+    def test_holds_at_most_one_chunk_of_kernel_rows(self, kernel_pool):
+        # 25,000 points are one chunk of ten 2,620-row blocks of 200 columns; the call
+        # holds its output, the chunk's product and two blocks at a time.
+        kernel_pool(2)
         est = self.fitted(n=200)
         x = simulate_outer(25_000, 3, seed=83)
         est.predict(x[:10])  # warm-up: the kernel block pool's first use
@@ -609,8 +612,7 @@ class TestKernelExpansionPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = 10_000 * 200 * 8
-        assert peak < chunk + 25_000 * 8 + 2**20, peak
+        assert peak < 2 * kernels._BLOCK_ENTRIES * 8 + 2 * 25_000 * 8 + 2**20, peak
 
     def test_surface_is_the_scaled_expansion_of_its_centers(self):
         spec = KernelSpec.laplace(2)

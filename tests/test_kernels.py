@@ -204,23 +204,6 @@ class TestBlockedKernelMatrix:
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", a.shape[0] * b.shape[0])
         assert np.array_equal(pooled, kernel_matrix(spec, a, b))
 
-    def test_out_receives_the_matrix(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 8)
-        rng = np.random.default_rng(21)
-        a, b = rng.random((7, 2)), rng.random((3, 2))
-        spec = KernelSpec.gaussian(2)
-        buffer = np.full((7, 3), np.nan)
-        assert kernel_matrix(spec, a, b, out=buffer) is buffer
-        assert np.array_equal(buffer, kernel_matrix(spec, a, b))
-
-    @pytest.mark.parametrize("out", [
-        np.empty((4, 3)), np.empty((3, 4), dtype=np.float32), np.empty((3, 8))[:, ::2],
-        np.empty((4, 3)).T,
-    ], ids=["shape", "dtype", "strided", "fortran"])
-    def test_out_must_fit_the_matrix(self, out):
-        with pytest.raises(ValueError, match="out must be"):
-            kernel_matrix(KernelSpec.gaussian(2), np.zeros((3, 2)), np.ones((4, 2)), out=out)
-
     @pytest.mark.parametrize("block_entries", [None, 8], ids=["inline", "pooled"])
     def test_blocks_run_under_the_callers_error_state(self, monkeypatch, block_entries):
         # Every distance over 5e-324 overflows; numpy's error state is per thread.
@@ -284,6 +267,65 @@ class TestBlockedKernelMatrix:
                 pytest.fail("the forked child hung on a multi-block kernel matrix")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+PRODUCT_SPECS = [
+    KernelSpec.laplace(3), KernelSpec.gaussian(3), KernelSpec.matern(3, nu=1.5, lengthscale=0.3),
+    KernelSpec.matern(3, nu=2.5, lengthscale=2.0),
+]
+
+
+class TestKernelProduct:
+    """``kernel_matrix(spec, a, b, weights=w)`` is ``kernel_matrix(spec, a, b) @ w`` at one
+    BLAS thread, bit for bit."""
+
+    @staticmethod
+    def pinned_product(spec, a, b, w):
+        with kernels._one_blas_thread:
+            return kernel_matrix(spec, a, b) @ w
+
+    # A block is _BLOCK_ENTRIES // width rows rounded down to a multiple of 4: 524 rows
+    # at 1,000 columns, 4 at 2^18 + 1.  "2 blocks + 3" is 524 * 2 + 3 rows at 1,000
+    # columns; in "2 blocks + 1" the last row joins the block before it.
+    @pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=lambda spec: f"{spec.family}-{spec.nu}")
+    @pytest.mark.parametrize("width", [1, 3, 571, 1000, 2**18 + 1])
+    @pytest.mark.parametrize("rows", [0, 1, 3, 5, (2, 3), (2, 1)],
+                             ids=["0", "1", "3", "5", "2-blocks-and-3", "2-blocks-and-1"])
+    def test_is_the_one_matrix_product_at_any_pool_size(self, kernel_pool, spec, width, rows):
+        if isinstance(rows, tuple):
+            blocks, extra = rows
+            rows = blocks * max(4, kernels._BLOCK_ENTRIES // width // 4 * 4) + extra
+        rng = np.random.default_rng(width + rows)
+        a, b, w = rng.random((rows, 3)), rng.random((width, 3)), rng.standard_normal(width)
+        want = self.pinned_product(spec, a, b, w)
+        for threads in (1, 2, 8):
+            kernel_pool(threads)
+            assert np.array_equal(kernel_matrix(spec, a, b, weights=w), want)
+
+    def test_a_direct_call_at_three_blas_threads_has_the_pinned_bits(self):
+        libraries = kernels._openblas_libraries()
+        if not libraries:
+            pytest.skip("no bundled OpenBLAS to pin")
+        spec = KernelSpec.laplace(10)
+        rng = np.random.default_rng(24)
+        a, b, w = rng.random((2003, 10)), rng.random((1000, 10)), rng.standard_normal(1000)
+        want = self.pinned_product(spec, a, b, w)
+        saved = [get() for get, _ in libraries]
+        try:
+            for _, set_threads in libraries:
+                set_threads(3)
+            got = kernel_matrix(spec, a, b, weights=w)
+            assert [get() for get, _ in libraries] == [3] * len(libraries)
+        finally:
+            for (_, set_threads), count in zip(libraries, saved):
+                set_threads(count)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), ()])
+    def test_weights_of_the_wrong_shape_raise(self, shape):
+        with pytest.raises(ValueError, match=r"weights must have shape \(4,\)"):
+            kernel_matrix(KernelSpec.gaussian(2), np.zeros((3, 2)), np.ones((4, 2)),
+                          weights=np.ones(shape))
 
 
 class TestRkhsNorm:
@@ -408,6 +450,11 @@ def test_run_all_returns_results_in_task_order():
         results = kernels._run_all(pool, square, [(i, 0.03 * (4 - i)) for i in range(4)])
     assert done == [3, 2, 1, 0]
     assert results == [0, 1, 4, 9]
+
+
+def test_run_all_runs_a_lone_task_on_the_caller():
+    with ThreadPoolExecutor(1) as pool:
+        assert kernels._run_all(pool, threading.get_ident, [()]) == [threading.get_ident()]
 
 
 def test_blas_pin_holds_until_the_last_holder_exits():

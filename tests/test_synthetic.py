@@ -113,7 +113,7 @@ class TestEvaluation:
         spec = KernelSpec.gaussian(2)
         f = make_test_function(spec, n_centers=5, seed=12)
         rng = np.random.default_rng(13)
-        x = rng.random((10_050, 2))
+        x = rng.random((synthetic._POINT_CHUNK + 50, 2))
         out = f(x)
         assert_allclose(out[:100], f(x[:100]), rtol=0, atol=0)
         assert_allclose(out[-100:], f(x[-100:]), rtol=0, atol=0)
@@ -199,18 +199,32 @@ class TestSimulateInner:
 class TestTrueTheta:
     @pytest.mark.parametrize("eval_points", [1000, 25_000])
     def test_square_is_mean_of_squares(self, eval_points):
-        # The reference draws its points from the seed as one block; 25,000
-        # points span three evaluation chunks.
+        # The reference draws its points from the seed chunk by chunk: the
+        # points of one block.
         f = synthetic.TestFunction(KernelSpec.gaussian(4), np.full((1, 4), 0.5), [3.0])
         oracle = true_theta(f, FunctionalSpec.expectation("square"),
                             eval_points=eval_points, seed=30)
         pts = np.random.default_rng(30).random((eval_points, 4))
         assert oracle.value == np.mean(f(pts) ** 2)
 
+    def test_point_chunks_keep_the_bits(self, monkeypatch):
+        # Chunks of a multiple of 4 rows keep the surface's bits and the reference's
+        # draws; the last point joins the chunk before it.
+        f = make_test_function(KernelSpec.laplace(3), n_centers=50, seed=33)
+        x = simulate_outer(10_001, 3, seed=35)
+        func = FunctionalSpec.expectation("identity")
+        whole = f(x), true_theta(f, func, eval_points=10_001, seed=34).value
+        monkeypatch.setattr(synthetic, "_POINT_CHUNK", 1000)
+        assert np.array_equal(f(x), whole[0])
+        assert true_theta(f, func, eval_points=10_001, seed=34).value == whole[1]
+
     @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_holds_one_chunk_at_any_pool_size(self, kernel_pool, threads):
-        # At 1,000 centers a chunk is 4,192 rows (33.5 MB), not 10,000 (80 MB),
-        # and the kernel pool's size does not change it.
+    def test_holds_one_chunk_at_any_pool_size(self, kernel_pool, monkeypatch, threads):
+        # A call holds its output, one chunk of points and its product, and one kernel
+        # block per busy pool thread, plus about 2 kB per pool task of bookkeeping.
+        # Blocks of 2^18 entries (2 MiB) keep even eight threads' blocks at half of
+        # a 32 MiB buffer of kernel rows (4,192 rows of 1,000 centers).
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**18)
         kernel_pool(threads)
         f = make_test_function(KernelSpec.laplace(3), n_centers=1000, seed=31)
         func = FunctionalSpec.expectation("square")
@@ -221,8 +235,9 @@ class TestTrueTheta:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = synthetic._CHUNK_ENTRIES * 8
-        assert peak < chunk + 100_000 * 3 * 8 + 100_000 * 8 + 2**20, peak
+        chunk = synthetic._POINT_CHUNK * (3 + 1) * 8
+        blocks = threads * kernels._BLOCK_ENTRIES * 8
+        assert peak < chunk + blocks + 100_000 * 8 + 2**21, peak
 
     def test_median_of_uniform(self):
         # One Laplace center at 0 in d = 1: f(x) = exp(-x), decreasing, so the

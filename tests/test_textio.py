@@ -1,6 +1,7 @@
 """The v1 columnar files' input contract: a file loads, or it raises ``ValueError``
 naming the file."""
 
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievesim.estimators import load_estimator
+from sievesim.estimators import load_estimator, save_estimator
 from sievesim.synthetic import load_dataset, load_test_function
 
 V1_FILES = Path(__file__).parent / "data" / "v1"
@@ -40,6 +41,30 @@ def test_a_non_finite_number_names_the_file_and_its_line(name, token, tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {len(lines)}: "
                                          "a number that is not finite$"):
         LOADERS[name](path)
+
+
+@pytest.mark.parametrize("name, field", [
+    ("dataset", "sigma=nan"), ("test_function_matern", "lengthscale=inf"),
+    ("test_function_matern", "norm_sq=nan"), ("krr", "lam=nan"), ("relu", "max_param=nan"),
+    ("relu", "max_param=-inf"),
+])
+def test_a_non_finite_header_float_names_the_file_and_the_field(name, field, tmp_path):
+    key = field.split("=")[0]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(re.sub(rf" {key}=\S+", f" {field}", (V1_FILES / f"{name}.txt").read_text(), 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the header's "
+                                         f"{re.escape(field)} is not finite$"):
+        LOADERS[name](path)
+
+
+def test_a_relu_max_param_of_inf_loads_and_resaves_byte_for_byte(tmp_path):
+    # inf is the documented "no bound" on a ReLU sieve's weights.
+    path = tmp_path / "relu.txt"
+    path.write_text((V1_FILES / "relu.txt").read_text().replace(" max_param=5", " max_param=inf"))
+    est = load_estimator(path)
+    assert est.architecture.max_param == math.inf
+    save_estimator(est, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 def test_the_line_of_a_non_finite_number_counts_blank_and_comment_lines(tmp_path):
