@@ -15,9 +15,10 @@ scenarios, bit-identical to ``predict(data.scenarios)`` and computed as part
 of the fit; an estimator read back by :func:`load_estimator` has ``None``.  The
 kernel fits and a kernel expansion's ``predict`` hold BLAS at one thread
 (``kernels._one_blas_thread``); a ReLU fit's bits do not depend on BLAS's thread count.
-Both kernel fits factor their system in place by ``kernels._cholesky``, one
-path on every scipy build: one LAPACK call up to ``kernels._FACTOR_TILE`` rows,
-tiles on every core of the kernel pool above, with the same bits at any pool size.
+Both kernel fits factor and solve the lower tiles of their system in place by
+``kernels._cholesky`` and ``kernels._cho_solve``, one path on every scipy build:
+``cho_factor`` and ``cho_solve``'s bits up to ``kernels._FACTOR_TILE`` rows, tiles
+on every core of the kernel pool above, with the same bits at any pool size.
 """
 
 from __future__ import annotations
@@ -153,16 +154,15 @@ _KERNEL_KINDS = {cls.kind: cls for cls in (KRREstimator, InducingKRREstimator)}
 
 def _solve_expansion(cls, data: NestedDataset, spec: KernelSpec, points, fitted_values, system, rhs,
                      regularization: float, detail: dict, diagnose):
-    """Factor the SPD, Fortran-ordered ``system`` in place (``kernels._cholesky``)
-    and solve it for the weights.
+    """Factor the lower tiles ``system`` of an SPD system in place
+    (``kernels._cholesky``) and solve it for the weights (``kernels._cho_solve``).
 
     ``fitted_values(weights)`` gives the fitted values at the scenarios.  A failed
     factorization raises :class:`FitError` with ``diagnose(exc)`` as its
     message.
     """
     try:
-        factor = kernels._cholesky(system)
-        weights = scipy.linalg.cho_solve((factor, True), rhs, check_finite=False)
+        weights = kernels._cho_solve(kernels._cholesky(system), rhs)
     except scipy.linalg.LinAlgError as exc:
         raise FitError(diagnose(exc)) from exc
     fitted = fitted_values(weights)
@@ -186,49 +186,6 @@ def default_regularization(spec: KernelSpec, n: int) -> float:
     return float(n ** (-2.0 * s / (2.0 * s + spec.dim)))
 
 
-def _krr_system(k: np.ndarray, jitter: float, shift: float) -> np.ndarray:
-    """``K + jitter I + shift I`` written into ``K`` and returned as ``K.T``.
-    ``K = kernel_matrix(X, X)`` equals its transpose bit for bit, so ``K.T`` is
-    ``K`` in Fortran order, which ``kernels._cholesky`` factors without a copy;
-    the two diagonal adds keep that order.  A lower Cholesky of it overwrites
-    only ``K``'s diagonal and upper triangle, and :func:`_restore_gram` undoes
-    that."""
-    system = k.T
-    diag = np.diag_indices_from(system)
-    system[diag] += jitter
-    system[diag] += shift
-    return system
-
-
-# Side of a mirror tile: 2^16 entries, whose transposed read stays in cache.
-_MIRROR_TILE = 256
-
-
-def _mirror_band(k: np.ndarray, start: int) -> None:
-    """Copy the strict lower triangle of ``K``'s columns ``start:stop`` onto the
-    upper triangle of its rows ``start:stop``, in square tiles of at most
-    ``_MIRROR_TILE`` rows, so each transposed copy is small and reads few rows of
-    ``K`` at a time.  It reads only the strict lower triangle, which no band writes."""
-    n = k.shape[0]
-    stop = min(start + _MIRROR_TILE, n)
-    square = k[start:stop, start:stop]
-    upper = np.triu_indices(stop - start, 1)
-    square[upper] = square.T[upper]
-    for col in range(stop, n, _MIRROR_TILE):
-        end = min(col + _MIRROR_TILE, n)
-        k[start:stop, col:end] = k[col:end, start:stop].T
-
-
-def _restore_gram(k: np.ndarray, diagonal: np.ndarray) -> None:
-    """Make ``K`` whole again from its strict lower triangle and ``diagonal``, one
-    task per band of ``_MIRROR_TILE`` rows on the kernel pool; it only copies
-    values, so the pool's size moves no bit."""
-    n = k.shape[0]
-    kernels._run_all(kernels._pool, _mirror_band,
-                     [(k, start) for start in range(0, n, _MIRROR_TILE)])
-    k[np.diag_indices(n)] = diagonal
-
-
 @_one_blas_thread
 def fit_krr(
     data: NestedDataset,
@@ -240,30 +197,31 @@ def fit_krr(
 
     ``lam = 0`` is allowed (interpolation up to jitter).  A failed Cholesky
     factorization raises :class:`FitError` with a conditioning diagnostic.
-    The gram is factored in place, so a fit holds one n x n array.
+    The fit holds only the lower tiles of the system (``kernels._gram_tiles``), about
+    half an n x n array, and factors and solves them in place.
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
-    n = data.n
-    k = kernel_matrix(spec, data.scenarios, data.scenarios)
-    diagonal = k.diagonal().copy()
-
-    def fitted_values(weights):
-        _restore_gram(k, diagonal)
-        return k @ weights
+    n, x = data.n, data.scenarios
+    tiles = kernels._gram_tiles(spec, x)
+    for row in tiles:
+        diagonal = np.diag_indices_from(row[-1])
+        row[-1][diagonal] += jitter
+        row[-1][diagonal] += n * lam
 
     def diagnose(exc):
-        # The failed factorization overwrote K's upper triangle; the system is rebuilt from K.
-        _restore_gram(k, diagonal)
-        eigs = scipy.linalg.eigvalsh(_krr_system(k, jitter, n * lam))
+        # The failed factorization overwrote the tiles; the whole system is rebuilt.
+        system = kernels.gram(spec, x, jitter)
+        system[np.diag_indices(n)] += n * lam
+        eigs = scipy.linalg.eigvalsh(system)
         return (f"KRR solve failed at n={n}, lam={lam}: {exc}; "
                 f"eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]")
 
-    return _solve_expansion(KRREstimator, data, spec, data.scenarios, fitted_values,
-                            _krr_system(k, jitter, n * lam), data.ybar, lam,
-                            {"jitter": jitter}, diagnose)
+    return _solve_expansion(KRREstimator, data, spec, x,
+                            lambda weights: kernel_matrix(spec, x, x, weights=weights),
+                            tiles, data.ybar, lam, {"jitter": jitter}, diagnose)
 
 
 def cross_validate_regularization(
@@ -329,17 +287,20 @@ def fit_krr_inducing(
     if ridge:
         system[np.diag_indices_from(system)] += ridge
     # numpy builds design.T @ design by SYRK and mirrors it, so system equals its
-    # transpose bit for bit, and system.T is the Fortran-ordered system _cholesky takes.
+    # transpose bit for bit, and system.T is the Fortran-ordered system whose tiles
+    # _cholesky takes.
 
     def diagnose(exc):
         # The system is factored in place, so the rank is read from a fresh K_sn K_ns.
         rank = int(np.linalg.matrix_rank(design.T @ design))
-        return (f"inducing-point normal equations are rank deficient without ridge: "
+        ridged = (f"and ridge {ridge:.3e} does not make them positive definite" if ridge
+                  else "without ridge")
+        return (f"inducing-point normal equations are rank deficient {ridged}: "
                 f"rank {rank} of {s_count}")
 
     return _solve_expansion(InducingKRREstimator, data, spec, ind, lambda weights: design @ weights,
-                            system.T, rhs, ridge, {"inducing_count": s_count, "ridge": ridge},
-                            diagnose)
+                            kernels._tile_views(system.T), rhs, ridge,
+                            {"inducing_count": s_count, "ridge": ridge}, diagnose)
 
 
 # ---------------------------------------------------------------------------

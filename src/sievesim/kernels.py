@@ -27,14 +27,16 @@ It runs at one BLAS thread, whose GEMV gives each row the same bits in any
 split at a multiple of 4 rows, so the vector is the one-matrix product at one
 BLAS thread, bit for bit, at any pool size.
 
-``_cholesky`` factors a kernel fit's SPD system in place, in tiles of
-``_FACTOR_TILE`` rows: each diagonal tile on the caller, the solves and trailing
-updates as tasks on the same pool.  It calls the LAPACK and BLAS that scipy's own
-solvers call, on any scipy build, through the function pointers that
-``scipy.linalg.cython_lapack`` and ``cython_blas`` export, bound by ``ctypes``
-(which releases the GIL).  A system of at most one tile is one LAPACK call.  The
-bits depend only on the system and its size, never on the pool size or the CPU
-count.
+A kernel fit's SPD system is given as its lower tiles of ``_FACTOR_TILE`` rows,
+arrays of their own (``_gram_tiles``) or views of one array (``_tile_views``).
+``_cholesky`` factors them in place: each diagonal tile on the caller, the solves
+and trailing updates as tasks on the same pool; ``_cho_solve`` solves by tiles on
+the caller.  They call the LAPACK and BLAS that scipy's own solvers call, on any
+scipy build, through the function pointers that ``scipy.linalg.cython_lapack`` and
+``cython_blas`` export, bound by ``ctypes`` (which releases the GIL), each
+addressing a tile by its own leading dimension.  A system of one tile has the bits
+of ``cho_factor`` and ``cho_solve``.  The bits depend only on the system and its
+size, never on how its tiles are stored, the pool size or the CPU count.
 
 ``_one_blas_thread`` holds every OpenBLAS bundled with numpy and scipy, found at
 import, at one thread while it is entered, so BLAS's bits do not depend on its
@@ -285,60 +287,114 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int(value))
 
 
-def _at(a: np.ndarray, row: int, col: int) -> int:
-    """The address of ``a[row, col]`` in the Fortran-ordered ``a``."""
-    return a.ctypes.data + (row + col * a.shape[0]) * a.itemsize
+def _ref(tile: np.ndarray) -> tuple:
+    """The address and leading dimension by which LAPACK and BLAS read ``tile``."""
+    return tile.ctypes.data, _int(tile.strides[1] // tile.itemsize)
 
 
-def _factor_step(a: np.ndarray, i: int, j: int, k: int) -> None:
-    """One pooled step of :func:`_cholesky` on the tile of ``a`` at rows ``i``, columns
-    ``j`` (tile offsets), after the diagonal tile at ``k`` is factored: with ``j == k``,
-    solve it against that tile's factor; otherwise subtract from it the product of the
-    solved tiles in rows ``i`` and ``j`` of column ``k``."""
-    n = a.shape[0]
-    lda = _int(n)
-    rows, cols, inner = (_int(min(n - at, _FACTOR_TILE)) for at in (i, j, k))
+def _tile_views(a: np.ndarray) -> list[list[np.ndarray]]:
+    """The lower tiles of the square, Fortran-ordered ``a``, as views: row ``r`` holds
+    the tiles of rows ``r * _FACTOR_TILE`` on, in columns of tiles ``0..r``.  This is
+    the tile set that :func:`_cholesky` and :func:`_cho_solve` take."""
+    starts = range(0, a.shape[0], _FACTOR_TILE)
+    return [[a[i : i + _FACTOR_TILE, j : j + _FACTOR_TILE] for j in starts[: r + 1]]
+            for r, i in enumerate(starts)]
+
+
+def _tile_shapes(n: int) -> list[list[tuple[int, int]]]:
+    """The shapes of the lower tiles of an n x n system, laid out as in :func:`_tile_views`."""
+    sides = [min(n - k, _FACTOR_TILE) for k in range(0, n, _FACTOR_TILE)]
+    return [[(rows, cols) for cols in sides[: r + 1]] for r, rows in enumerate(sides)]
+
+
+def _gram_tiles(spec: KernelSpec, points) -> list[list[np.ndarray]]:
+    """The lower tiles of ``K(points, points)``, laid out as in :func:`_tile_views`, each
+    a Fortran-ordered array of its own filled by one :func:`_fill_rows` task on the
+    pool: the tile at rows ``i``, columns ``j`` is ``K(x_j, x_i)`` written through its
+    C-ordered transpose, so its entries have ``kernel_matrix``'s bits."""
+    pts = as_points(points)
+    _check_dim(spec, pts, "points")
+    rows = [pts[k : k + _FACTOR_TILE] for k in range(0, pts.shape[0], _FACTOR_TILE)]
+    tiles = [[np.empty(shape, order="F") for shape in row] for row in _tile_shapes(len(pts))]
+    _run_all(_pool, _fill_rows, [(spec, rows[j], rows[i], tile.T)
+                                 for i, row in enumerate(tiles) for j, tile in enumerate(row)])
+    return tiles
+
+
+def _factor_step(tiles: list, i: int, j: int, k: int) -> None:
+    """One pooled step of :func:`_cholesky` on tile ``(i, j)`` of ``tiles`` after the
+    diagonal tile ``k`` is factored: with ``j == k``, solve it against that tile's
+    factor; otherwise subtract from it the product of the solved tiles ``(i, k)`` and
+    ``(j, k)``."""
+    target, left = tiles[i][j], tiles[i][k]
+    rows, inner = _int(target.shape[0]), _int(left.shape[1])
     one, minus_one = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0))
     if j == k:
-        _FACTOR["dtrsm"](b"R", b"L", b"T", b"N", rows, inner, one, _at(a, k, k), lda,
-                         _at(a, i, k), lda)
+        _FACTOR["dtrsm"](b"R", b"L", b"T", b"N", rows, inner, one, *_ref(tiles[k][k]),
+                         *_ref(target))
     elif i == j:
-        _FACTOR["dsyrk"](b"L", b"N", rows, inner, minus_one, _at(a, i, k), lda, one,
-                         _at(a, i, i), lda)
+        _FACTOR["dsyrk"](b"L", b"N", rows, inner, minus_one, *_ref(left), one, *_ref(target))
     else:
-        _FACTOR["dgemm"](b"N", b"T", rows, cols, inner, minus_one, _at(a, i, k), lda,
-                         _at(a, j, k), lda, one, _at(a, i, j), lda)
+        _FACTOR["dgemm"](b"N", b"T", rows, _int(target.shape[1]), inner, minus_one,
+                         *_ref(left), *_ref(tiles[j][k]), one, *_ref(target))
 
 
 @_one_blas_thread
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of the symmetric positive-definite, Fortran-ordered
-    float64 ``a``, written over ``a``'s lower triangle and returned; the strict upper
-    triangle is never written.  A failure raises ``scipy.linalg.LinAlgError``.
+def _cholesky(tiles: list) -> list:
+    """The lower Cholesky factor of the symmetric positive-definite system whose lower
+    tiles are ``tiles`` (laid out as in :func:`_tile_views`, each Fortran-strided),
+    written over them and returned; the strict upper triangle of each diagonal tile is
+    never written.  A failure raises ``scipy.linalg.LinAlgError``.
 
-    ``a`` is factored right-looking in tiles of ``_FACTOR_TILE`` rows, so one of at
-    most that many rows is one LAPACK call: LAPACK factors each diagonal tile on the
-    caller, then the pool solves each tile below it, then updates each lower tile of
-    the trailing matrix (the rule of :func:`_run_all`).
+    The factor is right-looking: LAPACK factors each diagonal tile on the caller, then
+    the pool solves each tile below it, then updates each lower tile of the trailing
+    matrix (the rule of :func:`_run_all`).  So a system of one tile is one LAPACK call.
     """
-    n = a.shape[0]
-    if (a.shape != (n, n) or a.dtype != np.float64 or not a.flags.f_contiguous
-            or not a.flags.writeable):
-        raise ValueError(f"expected a writeable Fortran-ordered float64 square array, "
-                         f"got shape {a.shape} and dtype {a.dtype}")
-    starts = range(0, n, _FACTOR_TILE)
-    for k in starts:
-        info = ctypes.c_int()
-        _FACTOR["dpotrf"](b"L", _int(min(n - k, _FACTOR_TILE)), _at(a, k, k), _int(n),
-                          ctypes.byref(info))
+    if ([[tile.shape for tile in row] for row in tiles]
+            != _tile_shapes(sum(row[-1].shape[1] for row in tiles))
+            or any(tile.dtype != np.float64 or tile.strides[0] != tile.itemsize
+                   or tile.strides[1] < tile.shape[0] * tile.itemsize or not tile.flags.writeable
+                   for row in tiles for tile in row)):
+        raise ValueError("expected the lower tiles of a square system, each a writeable "
+                         "Fortran-strided float64 array")
+    for k in range(len(tiles)):
+        diagonal, info = tiles[k][k], ctypes.c_int()
+        _FACTOR["dpotrf"](b"L", _int(diagonal.shape[0]), *_ref(diagonal), ctypes.byref(info))
         if info.value:
             raise scipy.linalg.LinAlgError(
-                f"{k + info.value}-th leading minor of the array is not positive definite"
-                if info.value > 0 else f"dpotrf: argument {-info.value} had an illegal value")
-        below = starts[k // _FACTOR_TILE + 1 :]
-        _run_all(_pool, _factor_step, [(a, i, k, k) for i in below])
-        _run_all(_pool, _factor_step, [(a, i, j, k) for j in below for i in below if i >= j])
-    return a
+                f"{k * _FACTOR_TILE + info.value}-th leading minor of the array is not "
+                "positive definite" if info.value > 0
+                else f"dpotrf: argument {-info.value} had an illegal value")
+        below = range(k + 1, len(tiles))
+        _run_all(_pool, _factor_step, [(tiles, i, k, k) for i in below])
+        _run_all(_pool, _factor_step, [(tiles, i, j, k) for j in below for i in below if i >= j])
+    return tiles
+
+
+@_one_blas_thread
+def _cho_solve(tiles: list, rhs) -> np.ndarray:
+    """The solution of ``L L^T x = rhs``, ``L`` the factor that :func:`_cholesky` wrote
+    over ``tiles``: forward by a ``dtrsm`` on each diagonal tile and a GEMV for each
+    tile below it, then back by the transposes.  On one tile these are the two
+    ``dtrsm`` calls of LAPACK's ``dpotrs``, so the bits are ``cho_solve``'s."""
+    x = np.array(rhs, dtype=np.float64)
+    pieces = [x[k : k + _FACTOR_TILE] for k in range(0, x.shape[0], _FACTOR_TILE)]
+
+    def solve(k: int, transpose: bytes) -> None:
+        size = _int(pieces[k].shape[0])
+        _FACTOR["dtrsm"](b"L", b"L", transpose, b"N", size, _int(1),
+                         ctypes.byref(ctypes.c_double(1.0)), *_ref(tiles[k][k]),
+                         pieces[k].ctypes.data, size)
+
+    for k in range(len(pieces)):
+        solve(k, b"N")
+        for i in range(k + 1, len(pieces)):
+            pieces[i] -= tiles[i][k] @ pieces[k]
+    for k in reversed(range(len(pieces))):
+        for i in range(k + 1, len(pieces)):
+            pieces[k] -= tiles[i][k].T @ pieces[i]
+        solve(k, b"T")
+    return x
 
 
 def _fill_rows(spec: KernelSpec, pa: np.ndarray, pb: np.ndarray, out: np.ndarray,

@@ -90,6 +90,9 @@ class NestedDataset:
         yb = np.asarray(self.ybar, dtype=float).reshape(-1)
         if sc.ndim != 2 or sc.shape[0] != yb.size:
             raise ValueError(f"scenarios {sc.shape} do not match {yb.size} responses")
+        for name, values in (("scenarios", sc), ("ybar", yb)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} contains a number that is not finite")
         object.__setattr__(self, "scenarios", sc)
         object.__setattr__(self, "ybar", yb)
 

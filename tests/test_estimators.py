@@ -38,6 +38,7 @@ from sievesim.kernels import (
     KernelSpec, farthest_point_sample, kernel_matrix, random_subsample, rkhs_norm_sq)
 from sievesim.synthetic import (
     eval_f, make_test_function, simulate_inner, simulate_outer, true_theta)
+from test_kernels import substitution
 
 
 V1_FILES = Path(__file__).parent / "data" / "v1"
@@ -161,8 +162,8 @@ class TestKRR:
     @pytest.mark.parametrize("n", [500, 1001])
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
     def test_in_place_solve_is_the_copy_based_solve(self, family, n):
-        # n = 1001 spans four mirror bands and two factor tiles; n = 500 fits in one
-        # tile, whose factor is one LAPACK call.
+        # n = 500 fits in one tile: one LAPACK factor and cho_solve's two triangular
+        # solves.  n = 1001 spans two tiles, solved by substitution tile by tile.
         spec, _, data = make_data(n=n, d=10, seed=86, family=family)
         lam, jitter = 1e-3, 1e-10
         est = fit_krr(data, spec, lam, jitter=jitter)
@@ -171,16 +172,22 @@ class TestKRR:
             system = K.copy(order="F")
             system[np.diag_indices(n)] += jitter
             system[np.diag_indices(n)] += n * lam
-            factor = (scipy.linalg.cho_factor(system, lower=True, check_finite=False)[0]
-                      if n <= kernels._FACTOR_TILE else kernels._cholesky(system))
-            weights = scipy.linalg.cho_solve((factor, True), data.ybar, check_finite=False)
+            if n <= kernels._FACTOR_TILE:
+                factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
+                weights = scipy.linalg.cho_solve(factor, data.ybar, check_finite=False)
+            else:
+                kernels._cholesky(kernels._tile_views(system))
+                weights = substitution(system, data.ybar)
             fitted = K @ weights
         assert np.array_equal(est.weights, weights)
         assert np.array_equal(est.fitted_values, fitted)
         assert np.array_equal(est.fitted_values, est.predict(data.scenarios))
 
-    def test_holds_one_gram(self):
-        spec, _, data = make_data(n=1500, d=10, seed=87, family="gaussian")
+    def test_holds_the_lower_tiles_and_one_product_block_per_thread(self, kernel_pool):
+        # At n = 3000 the whole gram alone (72 MB) is above this bound (51 MB).
+        kernel_pool(2)
+        n = 3000
+        spec, _, data = make_data(n=n, d=10, seed=87, family="gaussian")
         fit_krr(make_data(n=600, d=10, seed=87)[2], spec, 1e-3)  # warm-up: the block pool
         tracemalloc.start()
         try:
@@ -188,8 +195,8 @@ class TestKRR:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        gram = 1500 * 1500 * 8
-        assert peak < gram + 8 * 2**20, peak
+        tiles = sum(rows * cols for row in kernels._tile_shapes(n) for rows, cols in row) * 8
+        assert peak < tiles + 2 * kernels._BLOCK_ENTRIES * 8 + 2**20, peak
 
 
 class TestInducingKRR:
@@ -230,6 +237,14 @@ class TestInducingKRR:
         dup = data.scenarios[[2, 2]]
         with pytest.raises(FitError, match="without ridge: rank 1 of 2$"):
             fit_krr_inducing(data, spec, dup, ridge=0.0)
+
+    def test_failure_with_a_ridge_names_the_ridge(self):
+        # A positive ridge too small to matter leaves the duplicated point's system singular.
+        spec, _, data = make_data(n=20, seed=21)
+        dup = data.scenarios[[2, 2]]
+        with pytest.raises(FitError, match="ridge 1.000e-300 does not make them positive "
+                                           "definite: rank 1 of 2$"):
+            fit_krr_inducing(data, spec, dup, ridge=1e-300)
 
 
 class TestTiledFactor:
@@ -273,26 +288,25 @@ class TestTiledFactor:
         tolerance = n * np.finfo(float).eps * eigs[-1] / eigs[0] * np.max(np.abs(weights))
         assert_allclose(est.weights, weights, rtol=0, atol=tolerance)
 
-    def test_failure_past_the_first_tile_leaves_the_gram_whole(self, monkeypatch):
+    def test_failure_past_the_first_tile_diagnoses_the_intact_system(self, monkeypatch):
         # The first duplicate of an earlier scenario has a zero pivot, in the second tile.
         spec = KernelSpec.gaussian(10)
         x = simulate_outer(self.TILE + 88, 10, seed=96)
         x = np.vstack([x, x[:300]])
-        from sievesim import estimators
         from sievesim.synthetic import NestedDataset
         data = NestedDataset(scenarios=x, ybar=np.arange(len(x), dtype=float), m=1,
                              noise_sigma=0.0, seed=None)
-        grams = []
+        read, eigvalsh = [], scipy.linalg.eigvalsh
 
-        def keep(*args):
-            grams.append(kernel_matrix(*args))
-            return grams[-1]
+        def keep(a, *args, **kwargs):
+            read.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(estimators, "kernel_matrix", keep)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", keep)
         with pytest.raises(FitError, match=r"-th leading minor .*; eigenvalue range \[") as info:
             fit_krr(data, spec, 0.0, jitter=0.0)
         assert int(re.search(r"(\d+)-th leading minor", str(info.value))[1]) > self.TILE
-        assert np.array_equal(grams[0], kernel_matrix(spec, x, x))
+        assert len(read) == 1 and np.array_equal(read[0], kernel_matrix(spec, x, x))
 
     @pytest.mark.parametrize("count", [64, TILE + 88])
     def test_inducing_system_is_exactly_symmetric(self, count):
@@ -302,16 +316,27 @@ class TestTiledFactor:
             system = design.T @ design
         assert np.array_equal(system, system.T)
 
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_restored_gram_is_the_kernel_matrix(self, kernel_pool, threads):
-        from sievesim.estimators import _krr_system, _restore_gram
-        kernel_pool(threads)
-        spec, _, data = make_data(n=1001, d=10, seed=98, family="laplace")
-        k = kernel_matrix(spec, data.scenarios, data.scenarios)
-        diagonal = k.diagonal().copy()
-        kernels._cholesky(_krr_system(k, 1e-10, 1.0))
-        _restore_gram(k, diagonal)
-        assert np.array_equal(k, kernel_matrix(spec, data.scenarios, data.scenarios))
+    @pytest.mark.parametrize("size", [1, 2, 100, TILE])
+    def test_one_tile_fits_are_cho_factor_and_cho_solve(self, size):
+        # A system of one tile is one LAPACK factor and cho_solve's two triangular solves.
+        def solve(system, rhs):
+            factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
+            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+        spec, _, data = make_data(n=size, d=10, seed=99, family="gaussian")
+        lam, x = 1e-3, data.scenarios
+        krr = fit_krr(data, spec, lam)
+        _, _, wide = make_data(n=size + 88, d=10, seed=99, family="gaussian")
+        inducing = fit_krr_inducing(wide, spec, wide.scenarios[:size])
+        with kernels._one_blas_thread:  # as the fits hold it
+            system = kernel_matrix(spec, x, x)
+            system[np.diag_indices(size)] += kernels.DEFAULT_JITTER
+            system[np.diag_indices(size)] += size * lam
+            assert np.array_equal(krr.weights, solve(system.T, data.ybar))
+            design = kernel_matrix(spec, wide.scenarios, wide.scenarios[:size])
+            normal = design.T @ design
+            normal[np.diag_indices(size)] += inducing.regularization
+            assert np.array_equal(inducing.weights, solve(normal.T, design.T @ wide.ybar))
 
 
 def test_direct_calls_give_the_same_bits_at_one_and_three_blas_threads():

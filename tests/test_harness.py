@@ -411,9 +411,9 @@ class TestRunExperiment:
         config = parse_config(write_config(tmp_path, TINY))
         seen, factor = [], kernels._cholesky
 
-        def spy(*args, **kwargs):
-            seen.append([get() for get, _ in libraries])
-            return factor(*args, **kwargs)
+        def spy(tiles):
+            seen.append(([get() for get, _ in libraries], [len(row) for row in tiles]))
+            return factor(tiles)
 
         def abort(*args, **kwargs):
             raise ValueError("abort")
@@ -424,7 +424,9 @@ class TestRunExperiment:
                 set_threads(3)
             monkeypatch.setattr(kernels, "_cholesky", spy)
             run_experiment(config)
-            assert len(seen) == 6 and all(counts == [1] * len(libraries) for counts in seen)
+            # Each system of at most 120 rows is a tile set of one tile.
+            assert len(seen) == 6 and all(counts == [1] * len(libraries) and rows == [1]
+                                          for counts, rows in seen)
             assert [get() for get, _ in libraries] == [3] * len(libraries)
             monkeypatch.setattr(kernels, "_cholesky", abort)
             with pytest.raises(RuntimeError, match="failed at n=30"):
@@ -433,15 +435,18 @@ class TestRunExperiment:
             # A system of more than one tile is factored by tasks on the kernel pool.
             tiles, step = [], kernels._factor_step
 
-            def tile_spy(*args):
-                tiles.append([get() for get, _ in libraries])
-                return step(*args)
+            def tile_spy(system, i, j, k):
+                tiles.append(([get() for get, _ in libraries], system[i][j].shape))
+                return step(system, i, j, k)
 
             monkeypatch.setattr(kernels, "_cholesky", factor)
             monkeypatch.setattr(kernels, "_factor_step", tile_spy)
             large = TINY.replace("sizes = 30 60 120", f"sizes = {kernels._FACTOR_TILE + 1}")
             run_experiment(parse_config(write_config(tmp_path, large)))
-            assert tiles and all(counts == [1] * len(libraries) for counts in tiles)
+            # At n = 513 the steps solve the one-row tile below the first diagonal tile
+            # and update the 1 x 1 tile after it.
+            assert tiles and all(counts == [1] * len(libraries) for counts, _ in tiles)
+            assert {shape for _, shape in tiles} == {(1, kernels._FACTOR_TILE), (1, 1)}
             assert [get() for get, _ in libraries] == [3] * len(libraries)
         finally:
             for (_, set_threads), count in zip(libraries, saved):

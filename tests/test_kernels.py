@@ -481,6 +481,45 @@ def test_blas_pin_holds_until_the_last_holder_exits():
     assert wrong == [] and count == [4]
 
 
+def assemble(tiles, n):
+    """The Fortran-ordered n x n matrix whose lower tiles are ``tiles`` and whose other
+    entries are 0."""
+    full = np.zeros((n, n), order="F")
+    step = kernels._FACTOR_TILE
+    for r, row in enumerate(tiles):
+        for c, tile in enumerate(row):
+            full[r * step : r * step + tile.shape[0], c * step : c * step + tile.shape[1]] = tile
+    return full
+
+
+def own_tiles(a):
+    """The lower tiles of ``a``, each copied into a Fortran-ordered array of its own."""
+    return [[tile.copy(order="F") for tile in row] for row in kernels._tile_views(a)]
+
+
+def substitution(factor, rhs):
+    """``(L L^T)^-1 rhs`` for the lower factor ``L`` in the lower triangle of ``factor``,
+    tile by tile: scipy's BLAS triangular solve on each diagonal tile and numpy's product
+    with a Fortran-ordered copy of each tile below it, forward by columns of tiles, back
+    by rows of the transpose."""
+    step, x = kernels._FACTOR_TILE, np.array(rhs, dtype=float)
+    starts = range(0, len(x), step)
+
+    def tile(i, k):
+        return np.asfortranarray(factor[i : i + step, k : k + step])
+
+    for k in starts:
+        x[k : k + step] = scipy.linalg.blas.dtrsm(1.0, tile(k, k), x[k : k + step], lower=1)
+        for i in starts[k // step + 1 :]:
+            x[i : i + step] -= tile(i, k) @ x[k : k + step]
+    for k in reversed(starts):
+        for i in starts[k // step + 1 :]:
+            x[k : k + step] -= tile(i, k).T @ x[i : i + step]
+        x[k : k + step] = scipy.linalg.blas.dtrsm(1.0, tile(k, k), x[k : k + step], lower=1,
+                                                  trans_a=1)
+    return x
+
+
 class TestTiledCholesky:
     TILE = kernels._FACTOR_TILE
 
@@ -490,36 +529,83 @@ class TestTiledCholesky:
         return np.asfortranarray(x @ x.T / n + np.eye(n))
 
     @pytest.mark.parametrize("n", [TILE, TILE + 1, 2 * TILE + 1])
-    def test_factors_the_lower_triangle_only(self, n):
+    def test_factors_the_lower_tiles_only(self, n):
         a = self.spd(n, 23)
         work = a.copy(order="F")
-        factor = kernels._cholesky(work)
-        assert factor is work
-        assert_allclose(np.tril(factor), np.linalg.cholesky(a), rtol=0, atol=1e-12)
+        tiles = kernels._tile_views(work)
+        assert kernels._cholesky(tiles) is tiles
+        assert_allclose(np.tril(work), np.linalg.cholesky(a), rtol=0, atol=1e-12)
         assert np.array_equal(np.triu(work, 1), np.triu(a, 1))
 
+    @pytest.mark.parametrize("n", [1, TILE + 1, 2 * TILE + 1, 4 * TILE - 100])
+    def test_own_tiles_are_the_views_of_one_array_bit_for_bit(self, n):
+        # Each call reads a tile by its own leading dimension, so a tile of its own
+        # factors to the bits of the same tile in one n x n array.
+        a = self.spd(n, 26)
+        tiles = kernels._cholesky(own_tiles(a))
+        work = a.copy(order="F")
+        kernels._cholesky(kernels._tile_views(work))
+        assert np.array_equal(np.tril(assemble(tiles, n)), np.tril(work))
+
     @pytest.mark.parametrize("n", [1, 2, 100, TILE])
-    def test_one_tile_is_one_lapack_call(self, n):
+    def test_one_tile_is_one_lapack_call_and_cho_solve(self, n):
         a = self.spd(n, 25)
-        with kernels._one_blas_thread:  # as _cholesky holds it
-            want = scipy.linalg.cho_factor(a, lower=True, check_finite=False)[0]
-        assert np.array_equal(kernels._cholesky(a), want)
+        rhs = np.random.default_rng(27).standard_normal(n)
+        with kernels._one_blas_thread:  # as _cholesky and _cho_solve hold it
+            want = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+            solution = scipy.linalg.cho_solve(want, rhs, check_finite=False)
+        tiles = kernels._cholesky(own_tiles(a))
+        assert np.array_equal(np.tril(tiles[0][0]), np.tril(want[0]))
+        assert np.array_equal(kernels._cho_solve(tiles, rhs), solution)
+
+    @pytest.mark.parametrize("n", [TILE + 1, 2 * TILE + 1, 3 * TILE])
+    def test_tile_solve_is_the_substitution_tile_by_tile(self, n):
+        a = self.spd(n, 28)
+        rhs = np.random.default_rng(29).standard_normal(n)
+        tiles = kernels._cholesky(own_tiles(a))
+        with kernels._one_blas_thread:
+            want = substitution(assemble(tiles, n), rhs)
+        got = kernels._cho_solve(tiles, rhs)
+        assert np.array_equal(got, want)
+        assert_allclose(a @ got, rhs, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_gram_tiles_are_the_kernel_matrix(self, kernel_pool, threads, family):
+        kernel_pool(threads)
+        n = 2 * self.TILE + 77
+        spec = KernelSpec(family, 10)
+        x = np.random.default_rng(30).random((n, 10))
+        tiles = kernels._gram_tiles(spec, x)
+        assert all(tile.flags.f_contiguous for row in tiles for tile in row)
+        want = kernel_matrix(spec, x, x)
+        assert np.array_equal(np.tril(assemble(tiles, n)), np.tril(want))
+        for k, row in enumerate(tiles):  # a diagonal tile is whole
+            at = k * self.TILE
+            assert np.array_equal(row[-1], want[at : at + self.TILE, at : at + self.TILE])
 
     def test_failure_names_the_minor_in_the_first_tile(self):
         a = np.asfortranarray(np.eye(self.TILE))
         a[188, 188] = -1.0
         with pytest.raises(np.linalg.LinAlgError,
                            match="^189-th leading minor of the array is not"):
-            kernels._cholesky(a)
+            kernels._cholesky(own_tiles(a))
 
     def test_failure_names_the_minor_past_the_first_tile(self):
         a = np.asfortranarray(np.eye(2 * self.TILE + 1))
         a[self.TILE + 188, self.TILE + 188] = -1.0
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"^{self.TILE + 189}-th leading minor of the array is not"):
-            kernels._cholesky(a)
+            kernels._cholesky(own_tiles(a))
 
     @pytest.mark.parametrize("n", [2, TILE, TILE + 1])
-    def test_takes_only_a_fortran_ordered_float64_square(self, n):
-        with pytest.raises(ValueError, match="Fortran-ordered float64 square"):
-            kernels._cholesky(np.ascontiguousarray(self.spd(n, 24)))
+    def test_takes_only_fortran_strided_float64_tiles(self, n):
+        a = self.spd(n, 24)
+        refused = [
+            kernels._tile_views(np.ascontiguousarray(a)),
+            [[tile.astype(np.float32) for tile in row] for row in own_tiles(a)],
+            [[a[:, :1].copy(order="F")]],  # not square
+        ]
+        for tiles in refused:
+            with pytest.raises(ValueError, match="lower tiles of a square system"):
+                kernels._cholesky(tiles)

@@ -196,6 +196,17 @@ class TestSimulateInner:
             simulate_inner(f, simulate_outer(5, 2, seed=28), 0, 1.0, seed=29)
 
 
+class TestNestedDataset:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["scenarios", "ybar"])
+    def test_refuses_a_number_that_is_not_finite(self, field, value):
+        # Kernel fits of such a dataset would return all-NaN weights without a FitError.
+        fields = {"scenarios": simulate_outer(20, 2, seed=30), "ybar": np.linspace(0.0, 1.0, 20)}
+        fields[field][(7, 1) if field == "scenarios" else 7] = value
+        with pytest.raises(ValueError, match=f"^{field} contains a number that is not finite$"):
+            synthetic.NestedDataset(**fields, m=1, noise_sigma=0.0)
+
+
 class TestTrueTheta:
     @pytest.mark.parametrize("eval_points", [1000, 25_000])
     def test_square_is_mean_of_squares(self, eval_points):
