@@ -10,14 +10,14 @@ a unit lengthscale unless overridden.  All kernels satisfy ``k(x, x) = 1``.
 Laplace is Matern 1/2 at lengthscale ``d``, so it, Gaussian (squared distance
 over ``d``) and Matern 1/2 share one formula, ``exp(-r / s)``.
 
-A kernel matrix is filled in row blocks of about ``_BLOCK_ENTRIES`` entries.
-A matrix of more than one block spreads them over one per-process pool of
-threads, one per usable CPU, with the same bits at any pool size.  The pool is
-built at import, starts its threads on first use, and is rebuilt in a forked
-child.  Its tasks and the harness's sweep jobs run through ``_run_all``: a lone
-task runs on the caller; otherwise each runs under the caller's numpy error
-state, and the first error cancels the queued tasks and is raised after the
-running ones end.
+A kernel matrix is filled in row blocks of about ``_BLOCK_ENTRIES`` entries, the
+one budget of every transient buffer of an evaluation (see its comment).  A matrix
+of more than one block spreads them over one per-process pool of threads, one per
+usable CPU, with the same bits at any pool size.  The pool is built at import,
+starts its threads on first use, and is rebuilt in a forked child.  Its tasks and
+the harness's sweep jobs run through ``_run_all``: a lone task runs on the caller;
+otherwise each runs under the caller's numpy error state, and the first error
+cancels the queued tasks and is raised after the running ones end.
 
 ``kernel_matrix(spec, a, b, weights=w)`` is the product ``K(a, b) @ w``
 without ``K``: each task allocates a block of at most ``_BLOCK_ENTRIES``
@@ -156,9 +156,10 @@ def _check_dim(spec: KernelSpec, pts: np.ndarray, label: str) -> None:
         raise ValueError(f"{label} contains non-finite coordinates")
 
 
-# Entries per row block (4 MB of float64): small enough to stay near the
-# cache, large enough that handing a block to a thread costs little.
-_BLOCK_ENTRIES = 2**19
+# Entries (1 MiB of float64) of each kernel block, point chunk and noise block,
+# read at call time: small enough to stay in L2 and to leave little resident per
+# pool thread, large enough that handing a block to a thread costs little.
+_BLOCK_ENTRIES = 2**17
 
 
 def _usable_cpus() -> int:
@@ -482,7 +483,8 @@ def rkhs_norm_sq(spec: KernelSpec, coefficients, centers) -> float:
     """Squared RKHS norm of the mixture ``(1/N) sum_i c_i k(., U_i)``.
 
     Equals ``(1/N^2) c^T K c`` with ``K`` the unjittered self-gram of the
-    centers.  The result is nonnegative up to roundoff.
+    centers, computed as ``c`` times the pooled product ``K c`` without ``K``.
+    The result is nonnegative up to roundoff.
     """
     c = np.asarray(coefficients, dtype=float).reshape(-1)
     pts = as_points(centers)
@@ -490,8 +492,7 @@ def rkhs_norm_sq(spec: KernelSpec, coefficients, centers) -> float:
         raise ValueError(f"{len(c)} coefficients for {pts.shape[0]} centers")
     if len(c) == 0:
         raise ValueError("need at least one center")
-    k = kernel_matrix(spec, pts, pts)
-    return float(c @ k @ c) / len(c) ** 2
+    return float(c @ kernel_matrix(spec, pts, pts, weights=c)) / len(c) ** 2
 
 
 def fill_distance(candidates, selected) -> float:

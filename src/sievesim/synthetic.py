@@ -8,7 +8,8 @@ with ``c_i`` standard normal and ``U_i`` uniform on the unit cube, frozen at
 construction.  It is the only form of surface: one path evaluates it, in
 chunks of points that are each one kernel product
 (``kernel_matrix(..., weights=)``), and one simulates noisy observations of
-it.  Its squared RKHS norm has a closed form
+it, drawing its noise in blocks; a chunk or noise block holds at most
+``kernels._BLOCK_ENTRIES`` numbers.  Its squared RKHS norm has a closed form
 (:func:`~sievesim.kernels.rkhs_norm_sq`); it is computed when the surface is
 saved, not when it is built.
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from ._textio import kernel_fields, kernel_from_fields, read_table, write_table
 from .functionals import FunctionalSpec, evaluate_functional
 from .kernels import KernelSpec, _row_splits, as_points, kernel_matrix, rkhs_norm_sq
@@ -32,12 +34,6 @@ __all__ = [
     "make_test_function", "save_dataset", "save_test_function", "simulate_inner", "simulate_outer",
     "true_theta",
 ]
-
-# Rows of points that one evaluation reads at a time, whatever the CPU count: a
-# multiple of 4, which keeps the kernel product's bits (see ``_evaluate``).
-_POINT_CHUNK = 2**16
-# Entries of one block of inner noise: 32 MiB of float64.
-_CHUNK_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -145,15 +141,16 @@ def _evaluate(kernel: KernelSpec, points, weights, count: int, rows, scale=1.0) 
     """``scale * sum_j weights_j k(x, points_j)`` at ``count`` points read chunk by chunk as
     ``rows(start, stop)``: the surface's loop, and every fitted kernel expansion's.
 
-    Each chunk of ``_POINT_CHUNK`` rows is one kernel product,
-    ``kernel_matrix(..., weights=)``, whose pool tasks each fill and multiply a
-    kernel block of their own; so a call holds its output, one point chunk and
-    one block per busy pool thread.  The chunks, like the blocks, split the
-    points at multiples of 4 rows, so every row has the bits of one product over
-    all ``count`` points at one BLAS thread.
+    Each chunk of at most ``kernels._BLOCK_ENTRIES`` coordinates, whatever the CPU
+    count, is one kernel product, ``kernel_matrix(..., weights=)``, whose pool tasks
+    each fill and multiply a kernel block of their own; so a call holds its output,
+    one point chunk and one block per busy pool thread.  The chunks, like the
+    blocks, split the points at multiples of 4 rows, so every row has the bits of
+    one product over all ``count`` points at one BLAS thread.
     """
     out = np.empty(count)
-    for start, stop in _row_splits(count, _POINT_CHUNK):
+    chunk = max(4, kernels._BLOCK_ENTRIES // points.shape[1] // 4 * 4)
+    for start, stop in _row_splits(count, chunk):
         out[start:stop] = kernel_matrix(kernel, rows(start, stop), points, weights=weights)
     out *= scale
     return out
@@ -182,7 +179,7 @@ def simulate_inner(f: TestFunction, scenarios, m: int, sigma: float, seed=0) -> 
     rng = np.random.default_rng(seed)
     # Row-major draws and per-row means: any split keeps their bits.
     noise = [rng.standard_normal((stop - start, m)).mean(axis=1)
-             for start, stop in _row_splits(pts.shape[0], max(1, _CHUNK_ENTRIES // m))]
+             for start, stop in _row_splits(pts.shape[0], max(1, kernels._BLOCK_ENTRIES // m))]
     return NestedDataset(
         scenarios=pts,
         ybar=eval_f(f, pts) + sigma * np.concatenate(noise),

@@ -625,8 +625,9 @@ class TestKernelExpansionPredict:
         assert_allclose(got, kernel_matrix(est.kernel, x, est.points) @ est.weights, rtol=1e-14)
 
     def test_holds_at_most_one_chunk_of_kernel_rows(self, kernel_pool):
-        # 25,000 points are one chunk of ten 2,620-row blocks of 200 columns; the call
-        # holds its output, the chunk's product and two blocks at a time.
+        # 25,000 points are one chunk of 38 blocks of 652 rows of 200 columns and a
+        # last one of 224 rows; the call holds its output, the chunk's product and two
+        # blocks at a time.
         kernel_pool(2)
         est = self.fitted(n=200)
         x = simulate_outer(25_000, 3, seed=83)

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -196,7 +197,8 @@ class TestBlockedKernelMatrix:
         assert np.array_equal(pooled, whole)
 
     def test_default_blocks_equal_one_block(self, monkeypatch):
-        # 1,100 rows of 1,000 columns are two full default blocks and a ragged one.
+        # 1,100 rows of 1,000 columns are eight full default blocks of 131 rows and a
+        # ragged one.
         rng = np.random.default_rng(20)
         a, b = rng.random((1100, 10)), rng.random((1000, 10))
         spec = KernelSpec.laplace(10)
@@ -284,8 +286,8 @@ class TestKernelProduct:
         with kernels._one_blas_thread:
             return kernel_matrix(spec, a, b) @ w
 
-    # A block is _BLOCK_ENTRIES // width rows rounded down to a multiple of 4: 524 rows
-    # at 1,000 columns, 4 at 2^18 + 1.  "2 blocks + 3" is 524 * 2 + 3 rows at 1,000
+    # A block is _BLOCK_ENTRIES // width rows rounded down to a multiple of 4: 128 rows
+    # at 1,000 columns, 4 at 2^18 + 1.  "2 blocks + 3" is 128 * 2 + 3 rows at 1,000
     # columns; in "2 blocks + 1" the last row joins the block before it.
     @pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=lambda spec: f"{spec.family}-{spec.nu}")
     @pytest.mark.parametrize("width", [1, 3, 571, 1000, 2**18 + 1])
@@ -351,6 +353,22 @@ class TestRkhsNorm:
             for i in range(3) for j in range(3)
         ) / 9.0
         assert_allclose(rkhs_norm_sq(spec, c, U), direct, rtol=1e-12)
+
+    def test_holds_one_block_per_thread(self, kernel_pool):
+        # The norm is c times the pooled product K c; the 3,000 x 3,000 gram (72 MB)
+        # is never built.
+        kernel_pool(2)
+        rng = np.random.default_rng(9)
+        U, c = rng.random((3000, 10)), rng.standard_normal(3000)
+        spec = KernelSpec.laplace(10)
+        rkhs_norm_sq(spec, c[:600], U[:600])  # warm-up: the block pool's first use
+        tracemalloc.start()
+        try:
+            rkhs_norm_sq(spec, c, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * kernels._BLOCK_ENTRIES * 8 + 2**20, peak
 
 
 class TestFillDistance:

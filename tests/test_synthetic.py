@@ -12,10 +12,12 @@ from numpy.testing import assert_allclose
 from scipy.special import erf
 
 from sievesim import kernels, synthetic
+from sievesim.estimators import KRREstimator
 from sievesim.functionals import FunctionalSpec, resolve_eta
 from sievesim.harness import config_test_function, parse_config
 from sievesim.kernels import KernelSpec, eval_kernel, kernel_matrix, rkhs_norm_sq
 from sievesim.synthetic import (
+    eval_f,
     load_dataset,
     load_test_function,
     make_test_function,
@@ -28,6 +30,12 @@ from sievesim.synthetic import (
 
 V1_FILES = Path(__file__).parent / "data" / "v1"
 CONFIGS = Path(__file__).parent.parent / "configs"
+MiB = 2**20
+
+
+def point_chunk(d: int) -> int:
+    """Rows of points that one surface evaluation reads at a time in dimension ``d``."""
+    return max(4, kernels._BLOCK_ENTRIES // d // 4 * 4)
 
 
 def gaussian_moments(f) -> tuple[float, float]:
@@ -113,7 +121,7 @@ class TestEvaluation:
         spec = KernelSpec.gaussian(2)
         f = make_test_function(spec, n_centers=5, seed=12)
         rng = np.random.default_rng(13)
-        x = rng.random((synthetic._POINT_CHUNK + 50, 2))
+        x = rng.random((point_chunk(2) + 50, 2))
         out = f(x)
         assert_allclose(out[:100], f(x[:100]), rtol=0, atol=0)
         assert_allclose(out[-100:], f(x[-100:]), rtol=0, atol=0)
@@ -185,7 +193,7 @@ class TestSimulateInner:
         f = make_test_function(KernelSpec.laplace(2), n_centers=5, seed=24)
         x = simulate_outer(n, 2, seed=25)
         whole = simulate_inner(f, x, m, 0.7, seed=26).ybar
-        monkeypatch.setattr(synthetic, "_CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", budget)
         assert -(-n * m // budget) > 2  # several noise blocks
         assert np.array_equal(simulate_inner(f, x, m, 0.7, seed=26).ybar, whole)
 
@@ -225,19 +233,18 @@ class TestTrueTheta:
         x = simulate_outer(10_001, 3, seed=35)
         func = FunctionalSpec.expectation("identity")
         whole = f(x), true_theta(f, func, eval_points=10_001, seed=34).value
-        monkeypatch.setattr(synthetic, "_POINT_CHUNK", 1000)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 3000)  # chunks of 1,000 rows
         assert np.array_equal(f(x), whole[0])
         assert true_theta(f, func, eval_points=10_001, seed=34).value == whole[1]
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_holds_one_chunk_at_any_pool_size(self, kernel_pool, monkeypatch, threads):
-        # A call holds its output, one chunk of points and its product, and one kernel
-        # block per busy pool thread, plus about 2 kB per pool task of bookkeeping.
-        # Blocks of 2^18 entries (2 MiB) keep even eight threads' blocks at half of
-        # a 32 MiB buffer of kernel rows (4,192 rows of 1,000 centers).
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**18)
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_holds_one_chunk_at_any_pool_size(self, kernel_pool, threads, d):
+        # A call holds its output, one chunk of points (1 MiB) and its product, and one
+        # kernel block (1 MiB) per busy pool thread, plus about 2 kB per pool task of
+        # bookkeeping.
         kernel_pool(threads)
-        f = make_test_function(KernelSpec.laplace(3), n_centers=1000, seed=31)
+        f = make_test_function(KernelSpec.laplace(d), n_centers=1000, seed=31)
         func = FunctionalSpec.expectation("square")
         true_theta(f, func, eval_points=1_000, seed=32)  # warm-up: the block pool's first use
         tracemalloc.start()
@@ -246,9 +253,8 @@ class TestTrueTheta:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = synthetic._POINT_CHUNK * (3 + 1) * 8
-        blocks = threads * kernels._BLOCK_ENTRIES * 8
-        assert peak < chunk + blocks + 100_000 * 8 + 2**21, peak
+        chunk = MiB + MiB // d
+        assert peak < 100_000 * 8 + chunk + threads * MiB + 2 * MiB, peak
 
     def test_median_of_uniform(self):
         # One Laplace center at 0 in d = 1: f(x) = exp(-x), decreasing, so the
@@ -286,6 +292,42 @@ class TestTrueTheta:
         vals = f(pts) ** 2
         se = vals.std(ddof=1) / math.sqrt(10_000)
         assert abs(fine.value - coarse.value) <= 3.0 * se
+
+
+class TestOneBudget:
+    """``kernels._BLOCK_ENTRIES`` sizes every kernel block, point chunk and noise block,
+    read at call time; no output depends on it or on the pool size."""
+
+    # The budget over d is not a multiple of 4 at d = 3 or 10.  2^8 entries make chunks
+    # of 84 and 24 rows and kernel blocks of 4 rows; the default budget makes chunks of
+    # 43,688 and 13,104 (24 * 546) rows.  Each count leaves a one-row tail at 2^8, and
+    # the d = 10 one at the default budget too; a tail row joins the chunk before it.
+    @pytest.mark.parametrize("d, count", [(3, 84 * 50 + 1), (10, 24 * 546 + 1)])
+    def test_bits_do_not_depend_on_the_budget_or_the_pool(self, kernel_pool, monkeypatch,
+                                                           d, count):
+        f = make_test_function(KernelSpec.laplace(d), n_centers=60, seed=40)
+        est = KRREstimator(f.kernel, f.centers, f.coefficients, 0.0, None)
+        x = simulate_outer(count, d, seed=41)
+        w = np.random.default_rng(42).standard_normal(60)
+        func = FunctionalSpec.expectation("square")
+
+        def outputs():
+            return {"eval_f": eval_f(f, x),
+                    "true_theta": true_theta(f, func, eval_points=count, seed=43).value,
+                    "simulate_inner": simulate_inner(f, x, 7, 0.5, seed=44).ybar,
+                    "predict": est.predict(x),
+                    "kernel_matrix": kernel_matrix(f.kernel, x, f.centers, weights=w)}
+
+        want = outputs()
+        with kernels._one_blas_thread:  # as kernel_matrix holds it
+            assert np.array_equal(want["kernel_matrix"], kernel_matrix(f.kernel, x, f.centers) @ w)
+        for budget in (2**8, 2**17, 2**19):
+            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", budget)
+            for threads in (1, 2, 8):
+                kernel_pool(threads)
+                got = outputs()
+                assert [name for name in want if not np.array_equal(got[name], want[name])] == [], \
+                    (budget, threads)
 
 
 class TestSerialization:
